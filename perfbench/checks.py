@@ -6,9 +6,8 @@ re-tested for acyclicity, TDMA schedules re-validated and compared with
 the cyclic closed form max(1, floor(2K/(L+2))), simulated sum DoF held
 to the K/2 converse, and zero-deficiency trials required to reconstruct.
 
-``python3 perfbench/run.py --selftest`` shows that each check rejects a
-deliberately corrupted output; every benchmark run repeats that self-test
-before it measures.
+Every benchmark run first shows, with ``selftest``, that each check
+rejects a deliberately corrupted output.
 """
 
 from __future__ import annotations
@@ -16,11 +15,12 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from timdof import demand_graph, schemes, serialize, topology
 
-from workloads import CYCLIC, cli_request
+from workloads import CYCLIC, TRUNCATED, Request, cli_request
 
 
 class CheckError(Exception):
@@ -200,8 +200,12 @@ def check_all(done, ctx: CheckContext) -> list[str | None]:
 def selftest(run_cli) -> list[str]:
     """Feed corrupted outputs through check_all; returns the problems found.
 
-    run_cli(request) must return (exit code, stdout text).  Each genuine
-    output has to pass, and each corruption has to be counted as failed.
+    run_cli(request) must return (exit code, output).  Each genuine output
+    has to pass, and each corruption has to be failed for the reason its
+    case names, so every comparison is shown to fire on its own.  Most
+    corruptions stay self-consistent (a schedule that serves what its
+    result claims, a report whose deficiency is s - r) so that the earlier
+    checks let them through.
     """
     def bound_req(K, L):
         return cli_request("census", "demand-bound", CYCLIC, K, L)
@@ -214,9 +218,33 @@ def selftest(run_cli) -> list[str]:
         # passes verify_certificate, but the demand graph has a cycle on it
         doc["bound"]["certificate"] = [[list(range(1, 7)), doc["bound"]["value"]]]
 
-    def tdma_off_by_one(doc):
-        value = serialize.parse_fraction(doc["result"]["sum_dof"]) + 1
+    def drop_receiver(doc):
+        # serve one receiver fewer and claim one entry's fraction less, so
+        # the schedule stays valid and matches its result
+        entry = doc["schedule"]["entries"][0]
+        entry["servers"].pop()
+        value = (serialize.parse_fraction(doc["result"]["sum_dof"])
+                 - serialize.parse_fraction(entry["fraction"]))
         doc["result"]["sum_dof"] = serialize.fraction_str(value)
+
+    def serve_extra_receiver(doc):
+        # serve one more receiver from its carrier and claim it, the reverse
+        # of drop_receiver
+        entry = doc["schedule"]["entries"][0]
+        served = {i for i, _ in entry["servers"]}
+        i = min(set(range(1, doc["K"] + 1)) - served)
+        carrier = doc["assignment"]["transmit_sets"][i - 1][0]
+        entry["servers"] = sorted(entry["servers"] + [[i, carrier]])
+        value = (serialize.parse_fraction(doc["result"]["sum_dof"])
+                 + serialize.parse_fraction(entry["fraction"]))
+        doc["result"]["sum_dof"] = serialize.fraction_str(value)
+
+    def another_assignment(doc):
+        # receiver i served by transmitter i - 1 instead of i
+        doc["bound"]["assignment"]["transmit_sets"] = [[6]] + [[i] for i in range(1, 6)]
+
+    def not_chordal(doc):
+        doc["chordal_bipartite"] = False
 
     def converse_above_wall(text):
         lines = text.splitlines(keepends=True)
@@ -225,10 +253,24 @@ def selftest(run_cli) -> list[str]:
         lines[2] = ",".join(fields)
         return "".join(lines)
 
+    def converse_not_reconstructable(text):
+        lines = text.splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split(",")
+        fields[6:9] = [fields[5], "0", "False"]  # r = s, deficiency 0
+        lines[2] = ",".join(fields) + "\n"
+        return "".join(lines)
+
     def lin_eval_above_wall(doc):
         n = doc["scheme"]["n"]
         doc["result"]["trial_totals"] = [4 * n + 1] * len(doc["result"]["trial_totals"])
         doc["result"]["sum_dof"] = serialize.fraction_str(Fraction(4 * n + 1, n))
+
+    def lemma1_not_reconstructable(doc):
+        doc.update(r=doc["s"], deficiency=0, reconstructable=False)
+
+    def embed_off(output):
+        assignment, schedule, tdma, simulated = output
+        return assignment, schedule, tdma, replace(simulated, sum_dof=simulated.sum_dof - 1)
 
     def json_mutation(mutate):
         def apply(text):
@@ -237,26 +279,60 @@ def selftest(run_cli) -> list[str]:
             return serialize.dumps(doc)
         return apply
 
+    def output_of(req):
+        return lambda _: run_cli(req)[1]
+
+    tdma_req = cli_request("tdma", "tdma-search", CYCLIC, 8, 2)
+    canonical_req = cli_request("canonical", "tdma-canonical", CYCLIC, 8, 2)
+    converse_req = cli_request("converse", "converse-sample", CYCLIC, 8, 2, "--trials", "1",
+                               "--realizations", "1", "--seed", "3", fmt=None,
+                               trials=1, realizations=1)
     cases = [
-        ("certificate with one weight removed", bound_req(6, 1), json_mutation(drop_weight)),
-        ("certificate subset with a cycle", bound_req(6, 1), json_mutation(cyclic_subset)),
-        ("TDMA value off by one", cli_request("tdma", "tdma-search", CYCLIC, 8, 2),
-         json_mutation(tdma_off_by_one)),
-        ("converse trial above K/2",
-         cli_request("converse", "converse-sample", CYCLIC, 8, 2, "--trials", "1",
-                     "--realizations", "1", "--seed", "3", fmt=None, trials=1, realizations=1),
-         converse_above_wall),
+        ("certificate with one weight removed", bound_req(6, 1), json_mutation(drop_weight),
+         "certificate does not prove the bound"),
+        ("certificate subset with a cycle", bound_req(6, 1), json_mutation(cyclic_subset),
+         "has a cycle"),
+        # the genuine bound of cyclic K=6 L=2 (3) answering a request for L=1,
+        # whose TDMA optimum is 4: its certificate still covers all six users
+        ("bound below the TDMA value", bound_req(6, 1), output_of(bound_req(6, 2)),
+         "below the TDMA value"),
+        ("bound for another assignment",
+         cli_request("fixed", "demand-bound", CYCLIC, 6, 1, "--assignment", "1,2,3,4,5,6",
+                     carriers=[1, 2, 3, 4, 5, 6]),
+         json_mutation(another_assignment), "bound is for another assignment"),
+        ("TDMA value off by one", tdma_req, json_mutation(drop_receiver),
+         "differs from the cyclic optimum"),
+        ("canonical value below the optimum", canonical_req, json_mutation(drop_receiver),
+         "misses the optimum"),
+        # no valid schedule beats the optimum, so re-validation is what catches this
+        ("canonical value above the optimum", canonical_req,
+         json_mutation(serve_extra_receiver), "not schedulable"),
+        ("truncated topology reported not chordal",
+         cli_request("chordal", "topology", TRUNCATED, 12, 2, "--chordal"),
+         json_mutation(not_chordal), "not reported chordal"),
+        ("converse trial above K/2", converse_req, converse_above_wall, "above K/2"),
+        ("zero-deficiency converse trial that does not reconstruct", converse_req,
+         converse_not_reconstructable, "zero-deficiency trial does not reconstruct"),
         ("lin-eval sum DoF above K/2",
          cli_request("lin-eval", "lin-eval", CYCLIC, 8, 2, "--n", "2", "--trials", "2",
-                     "--seed", "3", n=2, trials=2), json_mutation(lin_eval_above_wall)),
+                     "--seed", "3", n=2, trials=2), json_mutation(lin_eval_above_wall),
+         "above K/2"),
+        ("zero-deficiency lemma1 report that does not reconstruct",
+         cli_request("lemma1", "lemma1", CYCLIC, 8, 2, "--n", "2", "--seed", "3"),
+         json_mutation(lemma1_not_reconstructable), "does not reconstruct"),
+        ("embedded schedule simulated one below the TDMA optimum",
+         Request(kind="embed", mode=CYCLIC, K=8, L=2, params={"seed": 3, "trials": 2}),
+         embed_off, "embedded schedule simulates to"),
     ]
     problems = []
-    for name, req, corrupt in cases:
-        code, text = run_cli(req)
-        genuine, corrupted = check_all([(req, code, text), (req, code, corrupt(text))],
+    for name, req, corrupt, expected in cases:
+        code, output = run_cli(req)
+        genuine, corrupted = check_all([(req, code, output), (req, code, corrupt(output))],
                                        CheckContext())
         if genuine is not None:
             problems.append(f"{name}: the genuine output failed ({genuine})")
         if corrupted is None:
             problems.append(f"{name}: the corrupted output was not counted as failed")
+        elif expected not in corrupted:
+            problems.append(f"{name}: failed for another reason than {expected!r} ({corrupted})")
     return problems

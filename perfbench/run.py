@@ -6,9 +6,9 @@ Run from a checkout of the repository; the program is imported from its
 ``src``.  Each workload runs in fresh worker processes, one after another,
 with BLAS and OpenMP pinned to one thread.  --trace 0 prints the
 end-to-end metrics, --trace 1 the per-layer metrics of a traced run.
---workload all runs every workload; --selftest only shows that every
-output check can fail.  The last line of standard output is one JSON
-object with the keys correct, attempted, failed and metrics.
+--workload all runs every workload.  Before measuring, a self-test shows
+that every output check can fail.  The last line of standard output is
+one JSON object with the keys correct, attempted, failed and metrics.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ from workloads import WORKLOADS
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 DEADLINE_S = 170  # the whole command must end within 180 s
+# Request seconds that fit the deadline: on top of its request time, each
+# workload spends up to about 20 s on set-ups, checks and its last round.
+MAX_REQUEST_S = 75
 
 END_TO_END = (
     ("requests_per_s", "1/s"),
@@ -81,12 +84,13 @@ def run_workload(args, workload: str, deadline: float) -> tuple[dict, dict]:
     if args.trace:
         result = spawn(args, workload, deadline, setup_only=False)
         return result, result["layers"]
-    setups = [spawn(args, workload, deadline, setup_only=True)["setup_s"]
+    setups = [spawn(args, workload, deadline, setup_only=True)
               for _ in range(SETUP_SAMPLES - 1)]
     result = spawn(args, workload, deadline, setup_only=False)
-    setups.append(result["setup_s"])
-    result["setup_samples"] = setups
-    result["setup_s"] = statistics.median(setups)
+    setups.append(dict(result))
+    result["setup_samples"] = [s["setup_measured_s"] for s in setups]
+    result["setup_s"] = statistics.median(s["setup_s"] for s in setups)
+    result["measured"]["setup_s"] = statistics.median(result["setup_samples"])
     return result, {name: {"value": result[name], "unit": unit} for name, unit in END_TO_END}
 
 
@@ -102,10 +106,10 @@ def print_report(workload: str, seed: int, result: dict, metrics: dict) -> None:
     if "beyond_p90" in result:
         raw = result["measured"]
         print(f"  {result['request_s']:.2f} s of request time; {result['beyond_p90']} samples "
-              f"beyond p90; set-up samples {[round(s, 3) for s in result['setup_samples']]}")
+              f"beyond p90; set-up samples {[round(s, 3) for s in result['setup_samples']]} s")
         print(f"  as measured: {raw['requests_per_s']:.6g} requests/s, "
-              f"p50 {raw['request_p50_ms']:.6g} ms, p90 {raw['request_p90_ms']:.6g} ms "
-              "(the figures below are at the kernel's nominal speed)")
+              f"p50 {raw['request_p50_ms']:.6g} ms, p90 {raw['request_p90_ms']:.6g} ms, "
+              f"set-up {raw['setup_s']:.6g} s (the figures below are at the kernel's nominal speed)")
     for name, m in metrics.items():
         print(f"  {name:<52} {m['value']:>14.6g} {m['unit']}")
     if "beyond_p90" in result:
@@ -119,10 +123,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args(argv)
+    selected = tuple(WORKLOADS) if args.workload == "all" else (args.workload,)
     if args.seconds < 1:
         parser.error("--seconds must be at least 1")
+    if args.seconds * len(selected) > MAX_REQUEST_S:
+        parser.error(f"--seconds times the number of workloads may be at most {MAX_REQUEST_S}, "
+                     f"so the run ends within {DEADLINE_S} s")
     deadline = time.monotonic() + DEADLINE_S
 
     if not (SRC / "timdof" / "__init__.py").is_file():
@@ -139,10 +146,7 @@ def main(argv=None) -> int:
     if problems:
         return 1
     print("check self-test: every corrupted output was counted as failed")
-    if args.selftest:
-        return 0
 
-    selected = tuple(WORKLOADS) if args.workload == "all" else (args.workload,)
     attempted = failed = 0
     metrics = {}
     try:

@@ -18,9 +18,7 @@ MODES = (TRUNCATED, CYCLIC)
 
 # Mirrors the program's K <= 12 demand-LP cap.  Census instances also keep
 # to at most 1024 assignments, so one round of the census stays a few
-# seconds long.  That leaves 36 instances and 144 requests a round, and the
-# tenth of a round beyond p90 (14.4) ends inside one instance's repeats
-# instead of on the border between two instances of different cost.
+# seconds long.
 CENSUS_K_MAX = 12
 CENSUS_SPACE_MAX = 1024
 FIXED_PER_INSTANCE = 2
@@ -30,9 +28,7 @@ ENUMERATION_LIMIT = 20000
 CERTIFIED_K_TARGETS = (30, 60, 90, 120, 150)
 SEARCH_K = range(12, 17)
 CANONICAL_K = (256, 512)
-# 85 requests a round, so the tenth beyond p90 (8.5) ends half-way
-# through one instance's repeats, as in exact-small.
-CANONICAL_L = range(1, 6)
+CANONICAL_L = range(1, 5)
 
 SIM_L = 2  # the K/2 converse for full cooperation is stated at cyclic L = 2
 CONVERSE_K = 8
