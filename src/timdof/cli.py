@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, demand_graph, linear_sim, schemes, serialize, topology
-from .errors import ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 
 OUTPUT_DIR_ENV = "TIMDOF_OUTPUT_DIR"
 
@@ -131,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, dest="n_max", default=3, help="slot counts cycle over 1..n_max")
     p.add_argument("--B", type=_parse_int_list, dest="receivers", metavar="I1,I2,...",
                    help="receiver set for the reconstruction check (default: even indices)")
+    p.add_argument("--density", type=float, default=1.0,
+                   help="probability that each message is active in a sampled scheme")
     p.add_argument("--strict", action="store_true", help="escalate instability to exit code 5")
 
     p = sub.add_parser("lemma1", help="reconstruction converse report for one scheme and realization")
@@ -210,6 +212,17 @@ def _scheme_csv(cfg: ExperimentConfig, result) -> str:
     return _csv_text(columns, [_scheme_row(cfg, result, cfg.decimal)])
 
 
+def _emit_scheme(cfg: ExperimentConfig, result, M: int = 1, **parts) -> int:
+    """The scheme-result artifact: a JSON document with the given parts, or one CSV row."""
+    if cfg.fmt == "json":
+        doc = {"command": cfg.command, "K": cfg.K, "L": cfg.L, "mode": cfg.mode, "M": M,
+               "result": serialize.dof_result_to_dict(result), **parts}
+        _emit(serialize.dumps(doc), _resolve_out(cfg.out))
+    else:
+        _emit(_scheme_csv(cfg, result), _resolve_out(cfg.out))
+    return EXIT_OK
+
+
 def _run_topology(cfg: ExperimentConfig) -> int:
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     doc = serialize.topology_to_dict(t)
@@ -223,34 +236,18 @@ def _run_topology(cfg: ExperimentConfig) -> int:
 def _run_tdma_search(cfg: ExperimentConfig) -> int:
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     assignment, schedule, result = schemes.optimal_tdma(t, M=cfg.M)
-    if cfg.fmt == "json":
-        doc = {
-            "command": "tdma-search", "K": cfg.K, "L": cfg.L, "mode": cfg.mode, "M": cfg.M,
-            "assignment": serialize.assignment_to_dict(assignment),
-            "schedule": serialize.schedule_to_dict(schedule),
-            "result": serialize.dof_result_to_dict(result),
-        }
-        _emit(serialize.dumps(doc), _resolve_out(cfg.out))
-    else:
-        _emit(_scheme_csv(cfg, result), _resolve_out(cfg.out))
-    return EXIT_OK
+    return _emit_scheme(cfg, result, M=cfg.M,
+                        assignment=serialize.assignment_to_dict(assignment),
+                        schedule=serialize.schedule_to_dict(schedule))
 
 
 def _run_tdma_canonical(cfg: ExperimentConfig) -> int:
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     assignment, schedule = schemes.canonical_tdma(t)
     result = schemes.schedule_dof(schedule, t, assignment, method=schemes.METHOD_CANONICAL)
-    if cfg.fmt == "json":
-        doc = {
-            "command": "tdma-canonical", "K": cfg.K, "L": cfg.L, "mode": cfg.mode, "M": 1,
-            "assignment": serialize.assignment_to_dict(assignment),
-            "schedule": serialize.schedule_to_dict(schedule),
-            "result": serialize.dof_result_to_dict(result),
-        }
-        _emit(serialize.dumps(doc), _resolve_out(cfg.out))
-    else:
-        _emit(_scheme_csv(cfg, result), _resolve_out(cfg.out))
-    return EXIT_OK
+    return _emit_scheme(cfg, result,
+                        assignment=serialize.assignment_to_dict(assignment),
+                        schedule=serialize.schedule_to_dict(schedule))
 
 
 def _run_demand_bound(cfg: ExperimentConfig) -> int:
@@ -261,16 +258,7 @@ def _run_demand_bound(cfg: ExperimentConfig) -> int:
     else:
         bound = demand_graph.best_assignment_upper_bound(t)
     result = schemes.DofResult(sum_dof=bound.value, K=cfg.K, method=schemes.METHOD_LP_BOUND)
-    if cfg.fmt == "json":
-        doc = {
-            "command": "demand-bound", "K": cfg.K, "L": cfg.L, "mode": cfg.mode, "M": 1,
-            "bound": serialize.dof_bound_to_dict(bound),
-            "result": serialize.dof_result_to_dict(result),
-        }
-        _emit(serialize.dumps(doc), _resolve_out(cfg.out))
-    else:
-        _emit(_scheme_csv(cfg, result), _resolve_out(cfg.out))
-    return EXIT_OK
+    return _emit_scheme(cfg, result, bound=serialize.dof_bound_to_dict(bound))
 
 
 def _build_configured_assignment(cfg: ExperimentConfig, t) -> schemes.MessageAssignment:
@@ -285,24 +273,29 @@ def _default_receivers(cfg: ExperimentConfig) -> tuple[int, ...]:
     return tuple(range(2, cfg.K + 1, 2))
 
 
-def _sim_row(cfg: ExperimentConfig, n, trial, sum_dof, report):
-    return [cfg.K, cfg.L, n, trial, serialize.fraction_str(sum_dof),
+def _sim_row(cfg: ExperimentConfig, n, trial, record):
+    report = record.report
+    return [cfg.K, cfg.L, n, trial, serialize.fraction_str(Fraction(record.total, n)),
             report.s, report.r, report.deficiency, report.reconstructable]
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise InvalidParameterError(f"{flag} must be at least 1, got {value}")
+
+
 def _run_lin_eval(cfg: ExperimentConfig) -> int:
+    _require_positive(trials=cfg.trials)
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     a = _build_configured_assignment(cfg, t)
     scheme = linear_sim.random_scheme(t, a, cfg.n, cfg.density, seed=cfg.seed)
-    result = linear_sim.evaluate_dof(scheme, t, cfg.trials, seed=cfg.seed + 10 ** 6,
-                                     coherence=cfg.coherence)
-    receivers = _default_receivers(cfg)
-    rows = []
-    for trial in range(cfg.trials):
-        c = linear_sim.sample_channel(t, cfg.n, cfg.coherence, seed=cfg.seed + 10 ** 6 + trial)
-        total = sum(linear_sim.decodable_symbols(scheme, c, i) for i in range(1, t.K + 1))
-        report = linear_sim.lemma1_check(scheme, c, receivers)
-        rows.append(_sim_row(cfg, cfg.n, trial, Fraction(total, cfg.n), report))
+    # only the CSV rows carry the reconstruction report
+    receivers = _default_receivers(cfg) if cfg.fmt == "csv" else None
+    seeds = range(cfg.seed + 10 ** 6, cfg.seed + 10 ** 6 + cfg.trials)
+    records = list(linear_sim.channel_trials(scheme, t, seeds, cfg.coherence, receivers))
+    result = linear_sim.dof_from_trials(scheme, records)
     if cfg.fmt == "json":
         doc = {
             "command": "lin-eval", "K": cfg.K, "L": cfg.L, "mode": cfg.mode,
@@ -312,6 +305,7 @@ def _run_lin_eval(cfg: ExperimentConfig) -> int:
         }
         _emit(serialize.dumps(doc), _resolve_out(cfg.out))
     else:
+        rows = [_sim_row(cfg, cfg.n, trial, record) for trial, record in enumerate(records)]
         _emit(_csv_text(SIM_COLUMNS, rows, _header_line(cfg.seed)), _resolve_out(cfg.out))
     if result.unstable:
         print(f"instability: disagreement rate {result.disagreement_rate} above 1%", file=sys.stderr)
@@ -321,32 +315,32 @@ def _run_lin_eval(cfg: ExperimentConfig) -> int:
 
 
 def _run_converse_sample(cfg: ExperimentConfig) -> int:
+    _require_positive(trials=cfg.trials, realizations=cfg.realizations, n_max=cfg.n_max)
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     a = linear_sim.full_cooperation_assignment(t.K)
     receivers = _default_receivers(cfg)
+    wall = Fraction(cfg.K, 2)
     rows = []
     unstable_schemes = 0
+    above_wall = 0
     worst = Fraction(0)
     for trial in range(cfg.trials):
         n = 1 + trial % cfg.n_max
-        scheme = linear_sim.random_scheme(t, a, n, density=1.0, seed=cfg.seed + trial)
-        totals = []
-        for rep in range(cfg.realizations):
-            c = linear_sim.sample_channel(
-                t, n, linear_sim.TIME_VARYING,
-                seed=cfg.seed + 10 ** 6 + trial * cfg.realizations + rep)
-            total = sum(linear_sim.decodable_symbols(scheme, c, i) for i in range(1, t.K + 1))
-            totals.append(total)
-            report = linear_sim.lemma1_check(scheme, c, receivers)
-            sum_dof = Fraction(total, n)
+        scheme = linear_sim.random_scheme(t, a, n, cfg.density, seed=cfg.seed + trial)
+        base = cfg.seed + 10 ** 6 + trial * cfg.realizations
+        records = list(linear_sim.channel_trials(
+            scheme, t, range(base, base + cfg.realizations), receivers=receivers))
+        for record in records:
+            sum_dof = Fraction(record.total, n)
             worst = max(worst, sum_dof)
-            rows.append(_sim_row(cfg, n, trial, sum_dof, report))
-        _, _, unstable = linear_sim.aggregate_trials(totals)
-        unstable_schemes += bool(unstable)
+            above_wall += sum_dof > wall
+            rows.append(_sim_row(cfg, n, trial, record))
+        unstable_schemes += linear_sim.dof_from_trials(scheme, records).unstable
     _emit(_csv_text(SIM_COLUMNS, rows, _header_line(cfg.seed)), _resolve_out(cfg.out))
-    print(f"max sum DoF over {cfg.trials} schemes: {worst} "
-          f"(bound {Fraction(cfg.K, 2)} at L=2); unstable schemes: {unstable_schemes}",
-          file=sys.stderr)
+    # the K/2 wall is the converse for full cooperation at L = 2 only
+    wall_note = f" (K/2 wall {wall}: {above_wall} draws above it)" if cfg.L == 2 else ""
+    print(f"max sum DoF over {cfg.trials} schemes: {worst}{wall_note}; "
+          f"unstable schemes: {unstable_schemes}", file=sys.stderr)
     if unstable_schemes and cfg.strict:
         return EXIT_UNSTABLE
     return EXIT_OK
@@ -356,23 +350,25 @@ def _run_lemma1(cfg: ExperimentConfig) -> int:
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     a = _build_configured_assignment(cfg, t)
     scheme = linear_sim.random_scheme(t, a, cfg.n, cfg.density, seed=cfg.seed)
-    c = linear_sim.sample_channel(t, cfg.n, linear_sim.TIME_VARYING, seed=cfg.seed + 10 ** 6)
-    receivers = _default_receivers(cfg)
-    report = linear_sim.lemma1_check(scheme, c, receivers)
+    # the JSON report needs no decodability totals
+    (record,) = linear_sim.channel_trials(scheme, t, [cfg.seed + 10 ** 6],
+                                          receivers=_default_receivers(cfg),
+                                          totals=cfg.fmt == "csv")
     if cfg.fmt == "json":
-        doc = serialize.report_to_dict(report)
+        doc = serialize.report_to_dict(record.report)
         doc["seed"] = cfg.seed
         doc["toolkit_version"] = __version__
         _emit(serialize.dumps(doc), _resolve_out(cfg.out))
     else:
-        total = sum(linear_sim.decodable_symbols(scheme, c, i) for i in range(1, t.K + 1))
-        rows = [_sim_row(cfg, cfg.n, 0, Fraction(total, cfg.n), report)]
+        rows = [_sim_row(cfg, cfg.n, 0, record)]
         _emit(_csv_text(SIM_COLUMNS, rows, _header_line(cfg.seed)), _resolve_out(cfg.out))
     return EXIT_OK
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
     columns = list(SCHEME_COLUMNS) + (["per_user_decimal"] if cfg.decimal else [])
+    if not cfg.L_values:
+        raise InvalidParameterError("--L range is empty")
     rows = []
     for L in cfg.L_values:
         K = cfg.K_multiple * (L + 2)

@@ -327,5 +327,6 @@ def best_assignment_upper_bound(t: Topology,
             best_value, best_encoding = bound.value, encoding
     final = singleton_assignment(best_encoding, budget=1)
     final_bound = dof_upper_bound_lp(build_demand_graph(t, final))
-    assert final_bound.value == best_value, "rotation symmetry violated"
+    if final_bound.value != best_value:
+        raise RuntimeError("rotation symmetry violated")
     return final_bound

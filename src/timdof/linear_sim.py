@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,16 +226,44 @@ def evaluate_dof(s: LinearScheme, t: Topology, trials: int, seed: int,
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise InvalidParameterError(f"trials must be a positive integer, got {trials!r}")
+    return dof_from_trials(s, channel_trials(s, t, range(seed, seed + trials), coherence))
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One channel draw: total decodable symbols and the receiver-set report.
+
+    Either field is None when the caller did not ask for it.
+    """
+
+    total: int | None
+    report: ReconstructionReport | None
+
+
+def channel_trials(s: LinearScheme, t: Topology, seeds, coherence: str = TIME_VARYING,
+                   receivers=None, totals: bool = True) -> Iterator[TrialRecord]:
+    """Draw one channel per seed and evaluate the scheme on it, lazily.
+
+    total sums decodable_symbols over all receivers unless totals is false;
+    report is lemma1_check on the receiver set, computed only when one is
+    given.  Each draw is sampled once, whatever is asked of it.
+    """
     if t.K != s.K:
         raise InvalidInputError(f"scheme is over {s.K} users, topology has {t.K}")
-    totals = []
-    for trial in range(trials):
-        c = sample_channel(t, s.n, coherence, seed + trial)
-        totals.append(sum(decodable_symbols(s, c, i) for i in range(1, s.K + 1)))
+    for seed in seeds:
+        c = sample_channel(t, s.n, coherence, seed)
+        total = sum(decodable_symbols(s, c, i) for i in range(1, s.K + 1)) if totals else None
+        report = None if receivers is None else lemma1_check(s, c, receivers)
+        yield TrialRecord(total, report)
+
+
+def dof_from_trials(s: LinearScheme, records) -> DofResult:
+    """Modal sum DoF of scheme s over trial records that carry totals."""
+    totals = tuple(record.total for record in records)
     modal, rate, unstable = aggregate_trials(totals)
     return DofResult(
         sum_dof=Fraction(modal, s.n), K=s.K, method=METHOD_LINEAR_SIM,
-        trials=trials, trial_totals=tuple(totals),
+        trials=len(totals), trial_totals=totals,
         disagreement_rate=rate, unstable=unstable)
 
 

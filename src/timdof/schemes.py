@@ -412,5 +412,6 @@ def optimal_tdma(t: Topology, M: int | None = 1,
             carriers.append((heard & -heard).bit_length())
     assignment = singleton_assignment(carriers, budget=M)
     schedule, result = best_sum_schedule(t, assignment)
-    assert result.sum_dof == len(found), "schedule LP disagrees with the served-set search"
+    if result.sum_dof != len(found):
+        raise RuntimeError("schedule LP disagrees with the served-set search")
     return assignment, schedule, result

@@ -1,5 +1,6 @@
 """CLI argument handling, exit codes, artifact formats, and determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,19 @@ class TestExitCodes:
         code, _, err = run_cli(["tdma-search", "--K", "99", "--L", "2"], capsys)
         assert code == cli.EXIT_RESOURCE
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        "converse-sample --K 8 --L 2 --trials 2 --n-max 0 --seed 1",
+        "converse-sample --K 8 --L 2 --trials 0 --seed 1",
+        "converse-sample --K 8 --L 2 --trials 2 --realizations 0 --seed 1",
+        "lin-eval --K 4 --L 1 --n 2 --trials 0 --seed 1",
+        "sweep --L 3..1",
+    ])
+    def test_empty_or_zero_counts_are_validation_errors(self, argv, capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("invalid input: ")
 
 
 class TestDeterministicArtifacts:
@@ -139,6 +153,17 @@ class TestRandomizedArtifacts:
         assert lines[1] == "K,L,n,trial,sum_dof,s,r,deficiency,reconstructable"
         assert len(lines) == 2 + 4 * 2  # one row per scheme and realization
 
+    @pytest.mark.parametrize("L,wall_note", [
+        (2, " (K/2 wall 4: 0 draws above it)"),
+        (1, ""),
+    ])
+    def test_converse_sample_names_the_wall_only_at_l2(self, L, wall_note, capsys):
+        code, _, err = run_cli(
+            ["converse-sample", "--K", "8", "--L", str(L), "--trials", "2", "--seed", "9"],
+            capsys)
+        assert code == 0
+        assert err == f"max sum DoF over 2 schemes: 0{wall_note}; unstable schemes: 0\n"
+
     def test_lemma1_json_records_seed_and_version(self, capsys):
         code, out, _ = run_cli(
             ["lemma1", "--K", "4", "--L", "1", "--n", "2", "--seed", "3",
@@ -168,3 +193,80 @@ class TestRandomizedArtifacts:
             ["topology", "--K", "3", "--L", "1", "--out", "sub/dir/t.json"], capsys)
         assert code == 0
         assert (tmp_path / "sub" / "dir" / "t.json").exists()
+
+
+SIM_HEADER = "K,L,n,trial,sum_dof,s,r,deficiency,reconstructable\n"
+
+# Exact stdout of the randomized commands, pinned before their trial loops
+# were merged into linear_sim.channel_trials.  lin-eval JSON carries every
+# sampled precoder, so it is pinned by the SHA-256 of its bytes.
+GOLDEN_STDOUT = {
+    ("lin-eval --K 8 --L 2 --n 2 --seed 5", "csv"):
+        "# timdof 0.1.0 seed=5\n" + SIM_HEADER
+        + "8,2,2,0,0/1,5,5,0,True\n8,2,2,1,0/1,5,5,0,True\n8,2,2,2,0/1,5,5,0,True\n",
+    ("lin-eval --K 8 --L 2 --n 2 --seed 5", "json"):
+        "sha256:c891c33185a88538d5f2d5204795a5eed1116946008c955c9dd40c829c474c7d",
+    ("lin-eval --K 8 --L 2 --n 2 --seed 5 --cooperation single --density 0.5", "csv"):
+        "# timdof 0.1.0 seed=5\n" + SIM_HEADER
+        + "8,2,2,0,1/1,2,2,0,True\n8,2,2,1,1/1,2,2,0,True\n8,2,2,2,1/1,2,2,0,True\n",
+    ("lin-eval --K 8 --L 2 --n 2 --seed 5 --cooperation single --density 0.5", "json"):
+        "sha256:da0131b6cc2c9cfa0c719b89b090f35028f7bcbb0e1435879bd3258658fefe95",
+    ("lin-eval --K 6 --L 1 --n 2 --seed 5 --density 0.4 --trials 2 --coherence constant",
+     "csv"):
+        "# timdof 0.1.0 seed=5\n" + SIM_HEADER
+        + "6,1,2,0,1/2,1,1,0,True\n6,1,2,1,1/2,1,1,0,True\n",
+    ("lin-eval --K 6 --L 1 --n 2 --seed 5 --density 0.4 --trials 2 --coherence constant",
+     "json"):
+        "sha256:8fec4a4e25c2e556f99b7b33f2edaeb814730c05487e6b66f58b05a9dc413481",
+    ("lemma1 --K 8 --L 2 --n 2 --seed 5", "csv"):
+        "# timdof 0.1.0 seed=5\n" + SIM_HEADER + "8,2,2,0,0/1,5,5,0,True\n",
+    ("lemma1 --K 8 --L 2 --n 2 --seed 5", "json"):
+        '{\n  "B": [\n    2,\n    4,\n    6,\n    8\n  ],\n  "deficiency": 0,\n'
+        '  "exclusive_transmitters": [],\n  "interfering_transmitters": [\n    1,\n'
+        '    2,\n    3,\n    4,\n    5,\n    6,\n    7,\n    8\n  ],\n  "r": 5,\n'
+        '  "reconstructable": true,\n  "s": 5,\n'
+        '  "schema": "timdof/reconstruction-report/v1",\n  "seed": 5,\n'
+        '  "toolkit_version": "0.1.0"\n}\n',
+    ("lemma1 --K 8 --L 2 --n 2 --seed 5 --B 2,4", "csv"):
+        "# timdof 0.1.0 seed=5\n" + SIM_HEADER + "8,2,2,0,0/1,8,4,4,False\n",
+    ("lemma1 --K 8 --L 2 --n 2 --seed 5 --B 2,4", "json"):
+        '{\n  "B": [\n    2,\n    4\n  ],\n  "deficiency": 4,\n'
+        '  "exclusive_transmitters": [],\n  "interfering_transmitters": [\n    1,\n'
+        '    2,\n    3,\n    4,\n    5,\n    6,\n    7,\n    8\n  ],\n  "r": 4,\n'
+        '  "reconstructable": false,\n  "s": 8,\n'
+        '  "schema": "timdof/reconstruction-report/v1",\n  "seed": 5,\n'
+        '  "toolkit_version": "0.1.0"\n}\n',
+    ("converse-sample --K 8 --L 2 --trials 3 --realizations 2 --seed 5", "csv"):
+        "# timdof 0.1.0 seed=5\n" + SIM_HEADER
+        + "8,2,1,0,0/1,4,4,0,True\n8,2,1,0,0/1,4,4,0,True\n"
+        + "8,2,2,1,0/1,7,7,0,True\n8,2,2,1,0/1,7,7,0,True\n"
+        + "8,2,3,2,0/1,9,9,0,True\n8,2,3,2,0/1,9,9,0,True\n",
+    ("converse-sample --K 6 --L 1 --trials 4 --realizations 2 --n-max 2 --seed 7 --B 2,4",
+     "csv"):
+        "# timdof 0.1.0 seed=7\n" + SIM_HEADER
+        + "6,1,1,0,0/1,4,2,2,False\n6,1,1,0,0/1,4,2,2,False\n"
+        + "6,1,2,1,0/1,5,4,1,False\n6,1,2,1,0/1,5,4,1,False\n"
+        + "6,1,1,2,0/1,4,2,2,False\n6,1,1,2,0/1,4,2,2,False\n"
+        + "6,1,2,3,0/1,6,4,2,False\n6,1,2,3,0/1,6,4,2,False\n",
+}
+
+
+def assert_golden(out, expected):
+    if expected.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected
+    else:
+        assert out == expected
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("args,fmt", sorted(GOLDEN_STDOUT))
+    def test_stdout_matches_golden(self, args, fmt, capsys):
+        code, out, _ = run_cli(args.split() + ["--format", fmt], capsys)
+        assert code == cli.EXIT_OK
+        assert_golden(out, GOLDEN_STDOUT[args, fmt])
+
+    def test_converse_sample_density_one_is_the_default(self, capsys):
+        args = "converse-sample --K 8 --L 2 --trials 3 --realizations 2 --seed 5"
+        code, out, _ = run_cli(args.split() + ["--density", "1.0"], capsys)
+        assert code == cli.EXIT_OK
+        assert_golden(out, GOLDEN_STDOUT[args, "csv"])

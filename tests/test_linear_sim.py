@@ -205,6 +205,33 @@ class TestEvaluateDof:
             linear_sim.evaluate_dof(s, t3, trials=1, seed=1)
 
 
+class TestChannelTrials:
+    def test_each_draw_matches_the_single_draw_primitives(self):
+        t = topology.make_locally_connected(6, 1, topology.CYCLIC)
+        s = linear_sim.random_scheme(t, linear_sim.full_cooperation_assignment(6), 2, 0.5, seed=4)
+        B = (2, 4, 6)
+        records = list(linear_sim.channel_trials(s, t, [7, 8], linear_sim.CONSTANT, B))
+        for seed, record in zip([7, 8], records):
+            c = linear_sim.sample_channel(t, 2, linear_sim.CONSTANT, seed)
+            assert record.total == sum(linear_sim.decodable_symbols(s, c, i) for i in range(1, 7))
+            assert record.report == linear_sim.lemma1_check(s, c, B)
+        assert linear_sim.dof_from_trials(s, records) == \
+            linear_sim.evaluate_dof(s, t, trials=2, seed=7, coherence=linear_sim.CONSTANT)
+
+    def test_computes_only_what_is_asked(self, monkeypatch):
+        t = topology.make_locally_connected(4, 1, topology.CYCLIC)
+        s = linear_sim.random_scheme(t, linear_sim.full_cooperation_assignment(4), 2, 1.0, seed=3)
+        (totals_only,) = linear_sim.channel_trials(s, t, [5])
+        assert totals_only.report is None and totals_only.total is not None
+
+        def unexpected(*args):
+            raise AssertionError("decodable_symbols called without totals")
+
+        monkeypatch.setattr(linear_sim, "decodable_symbols", unexpected)
+        (report_only,) = linear_sim.channel_trials(s, t, [5], receivers=(2, 4), totals=False)
+        assert report_only.total is None and report_only.report.B == (2, 4)
+
+
 class TestSchemeFromSchedule:
     def test_embedding_reproduces_schedule_dof_exactly(self):
         t = topology.make_locally_connected(6, 2, topology.CYCLIC)

@@ -1,5 +1,6 @@
 """Assignments, served sets, fractional TDMA schedules, and the exact search."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,18 @@ class TestOptimalTdma:
         t = topology.make_locally_connected(4, 1, topology.CYCLIC)
         with pytest.raises(InvalidParameterError):
             schemes.optimal_tdma(t, M=0)
+
+    def test_schedule_lp_disagreement_raises(self, monkeypatch):
+        real = schemes.best_sum_schedule
+
+        def one_short(t, a):
+            sched, res = real(t, a)
+            return sched, dataclasses.replace(res, sum_dof=res.sum_dof - 1)
+
+        monkeypatch.setattr(schemes, "best_sum_schedule", one_short)
+        t = topology.make_locally_connected(8, 2, topology.CYCLIC)
+        with pytest.raises(RuntimeError, match="schedule LP disagrees"):
+            schemes.optimal_tdma(t)
 
     @settings(max_examples=30, deadline=None)
     @given(generated_topologies(max_k=7))
