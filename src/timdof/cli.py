@@ -366,9 +366,9 @@ def _run_lemma1(cfg: ExperimentConfig) -> int:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
-    columns = list(SCHEME_COLUMNS) + (["per_user_decimal"] if cfg.decimal else [])
     if not cfg.L_values:
         raise InvalidParameterError("--L range is empty")
+    columns = list(SCHEME_COLUMNS) + (["per_user_decimal"] if cfg.decimal else [])
     rows = []
     for L in cfg.L_values:
         K = cfg.K_multiple * (L + 2)
