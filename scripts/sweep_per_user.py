@@ -34,7 +34,9 @@ def main(argv=None):
             except ResourceLimitError:
                 # past the search cap: canonical meets the certified bound,
                 # which already pins the optimum
-                assert bound.value / K == canonical.per_user, (K, L)
+                if bound.value / K != canonical.per_user:
+                    raise RuntimeError(
+                        f"K={K} L={L}: canonical pattern misses the certified bound")
                 best, search = canonical, "canonical-only"
             rows.append([
                 K, L, mult,

@@ -5,7 +5,8 @@ Every command is deterministic given its flags; randomized commands require
 toolkit version.  Exact rationals are always printed as "p/q" strings so
 tightness checks reduce to string equality; --decimal appends a float
 column for plotting.  Exit codes: 0 success, 2 usage, 3 validation
-failure, 4 resource limit, 5 instability escalated by --strict.
+failure, 4 resource limit, 5 instability escalated by --strict, 6 an
+internal consistency check failed (a bug, not a bad input).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
 EXIT_UNSTABLE = 5
+EXIT_INTERNAL = 6
 
 RANDOMIZED_COMMANDS = ("lin-eval", "converse-sample", "lemma1")
 
@@ -315,6 +317,8 @@ def _run_lin_eval(cfg: ExperimentConfig) -> int:
 
 
 def _run_converse_sample(cfg: ExperimentConfig) -> int:
+    if cfg.fmt != "csv":
+        raise InvalidParameterError("converse-sample writes CSV only")
     _require_positive(trials=cfg.trials, realizations=cfg.realizations, n_max=cfg.n_max)
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     a = linear_sim.full_cooperation_assignment(t.K)
@@ -406,6 +410,9 @@ def run(config: ExperimentConfig) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RuntimeError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

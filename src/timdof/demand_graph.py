@@ -227,26 +227,48 @@ def _tile_patterns_bounded(L: int) -> bool:
 
 
 def _certified_cyclic_bound(t: Topology) -> DofBound:
-    """Certified optimum 2K/(L+2) for cyclic K divisible by L+2.
+    """Certified optimum 2K/(L+2) for cyclic K divisible by L+2, in closed form.
 
     Partitioning the users into K/(L+2) tiles bounds every assignment's LP
-    by 2 per tile (runtime-checked lemma); the boundary-offset assignment
-    below attains the bound exactly, with all tile-boundary pairs locked
-    into 2-cycles so the indicator vector on them is LP-feasible.
+    by 2 per tile (runtime-checked lemma).  The boundary-offset assignment
+    below carries each tile's last message on the tile's second transmitter,
+    so per tile starting at s the windows {s..s+L} and {s+1..s+L+1} are
+    acyclic and cover the tile: weight 1 on each is a dual certificate for
+    2K/(L+2).  The tile-boundary messages s and s+L+1 are pairwise locked
+    into 2-cycles, so the indicator vector on them is primal feasible with
+    the same value; by weak duality the candidate's LP optimum is exactly
+    2K/(L+2), with O(K L^2) mask operations and no LP solve.
     """
     K, L = t.K, t.L
     if not _tile_patterns_bounded(L):
         raise RuntimeError(
             f"tile bound failed for L={L}; certified path is unsound here")
-    carriers = [v - L if v % (L + 2) == 0 else v for v in range(1, K + 1)]
+    width = L + 2
+    carriers = [v - L if v % width == 0 else v for v in range(1, K + 1)]
     candidate = singleton_assignment(carriers, budget=1)
-    # k_limit lifted: the candidate graph's coverage masks have width L+1,
-    # so subset enumeration stays K * 2^L no matter how large K grows
-    bound = dof_upper_bound_lp(build_demand_graph(t, candidate), k_limit=K)
-    expected = Fraction(2 * K, L + 2)
-    if bound.value != expected:
+    # coverage of each message's carrier, the built graph's nonsource masks
+    masks = tuple(t.tx_masks[c - 1] for c in carriers)
+    window = (1 << (L + 1)) - 1
+    certificate = []
+    witness = 0
+    for s in range(0, K, width):  # 0-based tile starts
+        for w in (window << s, window << (s + 1)):
+            subset = frozenset(b + 1 for b in iter_bits(w))
+            if not _mask_acyclic(masks, w):
+                raise RuntimeError(
+                    f"acyclicity check failed: window {sorted(subset)} has a cycle")
+            certificate.append((subset, Fraction(1)))
+        witness |= (1 << s) | (1 << (s + L + 1))
+    for v in iter_bits(witness):
+        if masks[v] & witness != 1 << v:
+            raise RuntimeError(
+                f"primal witness check failed: message {v + 1} is not in a 2-cycle "
+                "with every other tile-boundary message")
+    bound = DofBound(value=Fraction(2 * K, width), certificate=tuple(certificate),
+                     assignment=candidate)
+    if not verify_certificate(bound, K):
         raise RuntimeError(
-            f"certified candidate reached {bound.value}, expected {expected}")
+            f"certificate check failed: the tile windows do not prove {bound.value}")
     return bound
 
 

@@ -4,8 +4,9 @@ A TDMA scheme time-shares interference-free served sets: in each slot a
 set of receivers is served, each by one transmitter that carries its
 message, reaches it, and reaches no other served receiver.  Without
 transmitter channel knowledge this orthogonality is what full-rate
-one-shot decoding forces, so the search over served sets plus a
-fractional time-sharing LP yields the exact TDMA optimum.
+one-shot decoding forces.  A fractional schedule's sum DoF is a convex
+combination of served-set sizes, so one largest served set, given the
+whole slot, is the exact TDMA optimum.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
 from .errors import (
     InvalidAssignmentError,
     InvalidParameterError,
@@ -343,23 +343,15 @@ def _maximal_cliques(compat: list[int], vert_mask: int) -> list[int]:
 def best_sum_schedule(t: Topology, a: MessageAssignment) -> tuple[TdmaSchedule, DofResult]:
     """Exact fractional-schedule optimum for a fixed assignment.
 
-    Solves max sum_k |S_k| lambda_k over the maximal served sets with
-    sum lambda <= 1 in exact rationals and returns the optimal schedule.
+    max sum_k |S_k| lambda_k subject to sum lambda <= 1 is attained by
+    giving the whole slot to a largest maximal served set; the first one
+    in enumeration order is taken, the vertex Bland's rule ends on.
     """
-    sets = maximal_servable_sets(t, a)
-    nonempty = [s for s in sets if len(s) > 0]
-    if not nonempty:
-        sched = TdmaSchedule(K=t.K, entries=())
-        return sched, DofResult(sum_dof=Fraction(0), K=t.K, method=METHOD_TDMA_SEARCH)
-    res = lp.maximize(
-        c=[len(s) for s in nonempty],
-        A=[[1] * len(nonempty)],
-        b=[1],
-    )
-    entries = tuple((s, lam) for s, lam in zip(nonempty, res.x) if lam > 0)
+    best = max(maximal_servable_sets(t, a), key=len)  # first of the largest
+    entries = ((best, Fraction(1)),) if len(best) else ()
     sched = TdmaSchedule(K=t.K, entries=entries)
     validate_schedule(t, a, sched)
-    return sched, DofResult(sum_dof=res.value, K=t.K, method=METHOD_TDMA_SEARCH)
+    return sched, DofResult(sum_dof=Fraction(len(best)), K=t.K, method=METHOD_TDMA_SEARCH)
 
 
 def optimal_tdma(t: Topology, M: int | None = 1,
@@ -372,7 +364,7 @@ def optimal_tdma(t: Topology, M: int | None = 1,
     one cannot enlarge the search space.  The search therefore looks for
     the largest set of receivers that can each claim a connected
     transmitter covering no other member, then re-derives the schedule
-    through the exact time-sharing LP for the winning assignment.
+    from the winning assignment's maximal served sets as a cross-check.
     """
     if M is not None and (not isinstance(M, int) or isinstance(M, bool) or M < 1):
         raise InvalidParameterError(f"budget M must be a positive integer or None, got {M!r}")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from timdof import __version__, cli
+from timdof import __version__, cli, demand_graph
 
 
 def run_cli(argv, capsys):
@@ -62,6 +62,21 @@ class TestExitCodes:
         code, _, err = run_cli(["tdma-search", "--K", "99", "--L", "2"], capsys)
         assert code == cli.EXIT_RESOURCE
         assert "resource limit" in err
+
+    def test_internal_check_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(demand_graph, "_tile_patterns_bounded", lambda L: False)
+        code, out, err = run_cli(["demand-bound", "--K", "12", "--L", "4"], capsys)
+        assert code == cli.EXIT_INTERNAL == 6
+        assert out == ""
+        assert err.startswith("internal check failed: tile bound failed for L=4")
+        assert "Traceback" not in err
+
+    def test_converse_sample_rejects_json(self, capsys):
+        code, out, err = run_cli(
+            "converse-sample --K 4 --L 2 --trials 1 --seed 1 --format json".split(), capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "invalid input: converse-sample writes CSV only\n"
 
     @pytest.mark.parametrize("argv", [
         "converse-sample --K 8 --L 2 --trials 2 --n-max 0 --seed 1",
@@ -198,8 +213,9 @@ class TestRandomizedArtifacts:
 SIM_HEADER = "K,L,n,trial,sum_dof,s,r,deficiency,reconstructable\n"
 
 # Exact stdout of the randomized commands, pinned before their trial loops
-# were merged into linear_sim.channel_trials.  lin-eval JSON carries every
-# sampled precoder, so it is pinned by the SHA-256 of its bytes.
+# were merged into linear_sim.channel_trials, and of tdma-search JSON,
+# pinned while best_sum_schedule still solved its single-row LP.  lin-eval
+# and tdma-search JSON are pinned by the SHA-256 of their bytes.
 GOLDEN_STDOUT = {
     ("lin-eval --K 8 --L 2 --n 2 --seed 5", "csv"):
         "# timdof 0.1.0 seed=5\n" + SIM_HEADER
@@ -236,6 +252,12 @@ GOLDEN_STDOUT = {
         '  "reconstructable": false,\n  "s": 8,\n'
         '  "schema": "timdof/reconstruction-report/v1",\n  "seed": 5,\n'
         '  "toolkit_version": "0.1.0"\n}\n',
+    ("tdma-search --K 8 --L 2 --mode cyclic", "json"):
+        "sha256:1b4bffac974ec60ff364f543c3b8f943344cf201dc2bb8ee5d7f7a01b3bd4da4",
+    ("tdma-search --K 12 --L 1 --mode cyclic", "json"):
+        "sha256:b145ee68d645ab1c27d353f0a4e5c8facb7e3d2a5e8fd5fc6de851f075b7cc71",
+    ("tdma-search --K 7 --L 3 --mode truncated", "json"):
+        "sha256:03eacaaab6c2baf5b65276a857005d1f8e5846c3357a9cfd37dcf3ef69dc5680",
     ("converse-sample --K 8 --L 2 --trials 3 --realizations 2 --seed 5", "csv"):
         "# timdof 0.1.0 seed=5\n" + SIM_HEADER
         + "8,2,1,0,0/1,4,4,0,True\n8,2,1,0,0/1,4,4,0,True\n"

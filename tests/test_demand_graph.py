@@ -1,12 +1,13 @@
 """Demand graphs, acyclic-subset enumeration, and exact LP outer bounds."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timdof import demand_graph, schemes, topology
+from timdof import demand_graph, schemes, serialize, topology
 from timdof.errors import (
     InvalidAssignmentError,
     InvalidParameterError,
@@ -176,8 +177,7 @@ class TestBestAssignmentUpperBound:
         assert demand_graph.verify_certificate(bound, 12)
 
     def test_certified_route_reaches_past_lp_k_limit(self):
-        # the candidate graph's coverage masks stay L+1 wide, so the
-        # certified path is exempt from the generic demand LP K cap
+        # the certified path solves no demand LP, so the LP's K cap does not apply
         t = topology.make_locally_connected(24, 2, topology.CYCLIC)
         bound = demand_graph.best_assignment_upper_bound(t)
         assert bound.value == F(12)
@@ -204,6 +204,69 @@ class TestBestAssignmentUpperBound:
         bound = demand_graph.best_assignment_upper_bound(t)
         _, _, res = schemes.optimal_tdma(t)
         assert res.sum_dof == F(2) and bound.value == F(5, 2)
+
+
+CERTIFIABLE = [(K, L) for L in range(5) for K in range(L + 2, 49, L + 2) if K >= 2 * L + 2]
+
+# SHA-256 over the value and assignment documents of every CERTIFIABLE
+# instance, pinned from the route that solved the candidate's dense LP.
+CERTIFIED_GOLDEN = "b9bebee2cbbe98e9d693418222d0c6f2d9f5dc8c18d6c2a71a2c1eff3ca2cb77"
+
+
+def _certified(K, L):
+    t = topology.make_locally_connected(K, L, topology.CYCLIC)
+    return t, demand_graph.best_assignment_upper_bound(t, method="certified")
+
+
+class TestCertifiedClosedForm:
+    def test_values_and_assignments_match_the_lp_route_bytes(self):
+        h = hashlib.sha256()
+        for K, L in CERTIFIABLE:
+            _, bound = _certified(K, L)
+            h.update(serialize.dumps({
+                "K": K, "L": L, "value": serialize.fraction_str(bound.value),
+                "assignment": serialize.assignment_to_dict(bound.assignment)}).encode())
+        assert len(CERTIFIABLE) == 65
+        assert h.hexdigest() == CERTIFIED_GOLDEN
+
+    @pytest.mark.parametrize("K,L", CERTIFIABLE)
+    def test_closed_form_agrees_with_the_candidate_lp(self, K, L):
+        t, bound = _certified(K, L)
+        g = demand_graph.build_demand_graph(t, bound.assignment)
+        lp_value = demand_graph.dof_upper_bound_lp(g, k_limit=K).value
+        assert bound.value == lp_value == F(2 * K, L + 2)
+        carriers = [next(iter(ts)) for ts in bound.assignment.transmit_sets]
+        assert tuple(t.tx_masks[c - 1] for c in carriers) == g.nonsource_masks
+        for subset, _ in bound.certificate:
+            inside = [(u, v) for (u, v) in g.edges if u in subset and v in subset]
+            assert digraph_is_acyclic(subset, inside), sorted(subset)
+        windows = []
+        for s in range(1, K + 1, L + 2):
+            windows += [(frozenset(range(s, s + L + 1)), F(1)),
+                        (frozenset(range(s + 1, s + L + 2)), F(1))]
+        assert bound.certificate == tuple(windows)
+
+    @pytest.mark.parametrize("name,check", [
+        ("verify_certificate", "certificate check failed"),
+        ("_mask_acyclic", "acyclicity check failed"),
+    ])
+    def test_failed_check_raises(self, name, check, monkeypatch):
+        monkeypatch.setattr(demand_graph, name, lambda *args: False)
+        with pytest.raises(RuntimeError, match=check):
+            _certified(12, 2)
+
+    def test_failed_primal_witness_raises(self):
+        # transmitter 1 also reaching receiver 5 breaks the 2-cycle between
+        # tile-boundary messages 1 and 5; the windows stay acyclic
+        t = topology.make_locally_connected(8, 2, topology.CYCLIC)
+        wider = topology.Topology(K=8, L=2, mode=topology.CYCLIC, edges=t.edges | {(5, 1)})
+        with pytest.raises(RuntimeError, match="primal witness check failed"):
+            demand_graph._certified_cyclic_bound(wider)
+
+    def test_failed_tile_lemma_raises(self, monkeypatch):
+        monkeypatch.setattr(demand_graph, "_tile_patterns_bounded", lambda L: False)
+        with pytest.raises(RuntimeError, match="tile bound failed"):
+            _certified(12, 4)
 
 
 class TestTightnessOnLocallyConnected:
