@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -80,7 +81,9 @@ def _parse_range(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="timdof",
         description="DoF analysis for locally connected interference networks without CSIT")

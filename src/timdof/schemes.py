@@ -7,6 +7,11 @@ transmitter channel knowledge this orthogonality is what full-rate
 one-shot decoding forces.  A fractional schedule's sum DoF is a convex
 combination of served-set sizes, so one largest served set, given the
 whole slot, is the exact TDMA optimum.
+
+On the generated families a receiver is servable exactly when its served
+neighbours lie at least L+2 apart, so `optimal_tdma` finds the largest
+served set with a gap DP at any K.  Explicit topologies keep an
+exhaustive subset scan, capped at K <= TDMA_SEARCH_K_LIMIT.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .errors import (
 )
 from .topology import CYCLIC, GENERATED_MODES, TRUNCATED, Topology, iter_bits
 
-# Full served-set search is exponential in K; keep instances at desk scale.
+# Served-set enumeration is exponential in K; keep explicit-topology searches
+# and fixed-assignment schedules at desk scale.
 TDMA_SEARCH_K_LIMIT = 16
 
 METHOD_TDMA_SEARCH = "tdma-search"
@@ -175,14 +181,12 @@ def is_schedulable(t: Topology, s: ServedSet) -> bool:
     transmitters = [j for _, j in pairs]
     if len(set(transmitters)) != len(transmitters):
         return False
+    served = 0
     for i, j in pairs:
         if not t.connected(i, j):
             return False
-    for i, _ in pairs:
-        for i2, j2 in pairs:
-            if i2 != i and t.connected(i, j2):
-                return False
-    return True
+        served |= 1 << (i - 1)
+    return all(t.tx_masks[j - 1] & served == 1 << (i - 1) for i, j in pairs)
 
 
 def validate_schedule(t: Topology, a: MessageAssignment | None, sched: TdmaSchedule) -> None:
@@ -354,26 +358,95 @@ def best_sum_schedule(t: Topology, a: MessageAssignment) -> tuple[TdmaSchedule, 
     return sched, DofResult(sum_dof=Fraction(len(best)), K=t.K, method=METHOD_TDMA_SEARCH)
 
 
-def optimal_tdma(t: Topology, M: int | None = 1,
-                 k_limit: int = TDMA_SEARCH_K_LIMIT) -> tuple[MessageAssignment, TdmaSchedule, DofResult]:
-    """Exact TDMA optimum over all assignments within budget M.
+def _reach(d: int, L: int) -> int:
+    """How far past a served receiver its server reaches, with the previous one d back.
 
-    A fractional schedule's sum DoF is a convex combination of served-set
-    sizes, so the optimum concentrates on a single largest servable set;
-    and any served set picks one transmitter per message, so budgets above
-    one cannot enlarge the search space.  The search therefore looks for
-    the largest set of receivers that can each claim a connected
-    transmitter covering no other member, then re-derives the schedule
-    from the winning assignment's maximal served sets as a cross-check.
+    The lowest usable server sits min(L, d-1) before the receiver, so its
+    coverage window of L+1 ends max(0, L+1-d) past it.
     """
-    if M is not None and (not isinstance(M, int) or isinstance(M, bool) or M < 1):
-        raise InvalidParameterError(f"budget M must be a positive integer or None, got {M!r}")
-    if t.K > k_limit:
-        raise ResourceLimitError(
-            f"TDMA search limited to K <= {k_limit}, got K={t.K}", limit=k_limit)
+    return max(0, L + 1 - d)
+
+
+def _gap_extras(left: int, right: int | None, L: int) -> tuple[int, int]:
+    """Room an even and an odd count of served receivers need beyond whole pairs.
+
+    The receivers follow a served receiver whose server reaches `left`
+    past it.  Each of them needs its two gaps to sum to at least L+2, so k
+    of them take (k // 2) * (L+2) positions plus the entry for k's parity;
+    pairing the gaps from either end gives the matching lower bounds.
+    With right=None the run ends free (the truncated chain), else on a
+    closing receiver whose server reaches `right` back (the cyclic wrap
+    onto receiver 1), and the room counts up to it.
+    """
+    if right is None:
+        return 0, left + 1
+    return max(left, right) + 1, L + 2 + max(0, left + right - L)
+
+
+def _fits(k: int, room: int, left: int, right: int | None, L: int) -> bool:
+    return (k // 2) * (L + 2) + _gap_extras(left, right, L)[k % 2] <= room
+
+
+def _most(room: int, left: int, right: int | None, L: int) -> int:
+    """Most served receivers that fit in `room` positions; -1 when a closing receiver leaves too little."""
+    most = -1
+    for parity, extra in enumerate(_gap_extras(left, right, L)):
+        if room >= extra:
+            most = max(most, 2 * ((room - extra) // (L + 2)) + parity)
+    return most
+
+
+def _gap_dp(t: Topology) -> tuple[int, tuple[int, ...]]:
+    """Value and lexicographically first largest servable receiver set of a generated topology.
+
+    Receiver i of a sorted set S is servable exactly when the next member
+    lies more than L past the previous one: next_S(i) - prev_S(i) >= L+2,
+    mod K on the cycle; on the chain a missing previous member counts as
+    position 0 and a missing next one never blocks.  The DP state after a
+    served receiver is its distance back to the previous one, capped at
+    L+1, which fixes how far its server reaches past it (`_reach`).  The
+    state's value has a closed form (`_gap_extras`), so the walk places
+    each receiver at the nearest position after which the rest still fit:
+    O(K) steps in all, none of them over subsets.
+    """
+    K, L = t.K, t.L
+    if t.mode == CYCLIC:
+        # rotating any optimum puts one of its members at 1, so the first
+        # optimum contains 1.  Its successor at 1+d fixes both ends of the
+        # run that closes back onto 1: the successor's server reaches
+        # _reach(d) past it, and 1's server must start that far back
+        # (beyond d = L+1 the room only shrinks)
+        best_d, value = None, 1
+        for d in range(1, min(L + 1, K - 1) + 1):
+            c = _reach(d, L)
+            more = _most(K - d, c, c, L)
+            if more >= 0 and 2 + more > value:
+                best_d, value = d, 2 + more
+        if best_d is None:
+            return 1, (1,)
+        served = [1, 1 + best_d]
+        x, left, right, end = 1 + best_d, _reach(best_d, L), _reach(best_d, L), K + 1
+    else:
+        served = []
+        x, left, right, end = 0, 0, None, K
+        value = _most(K, 0, None, L)
+    for k in range(value - len(served) - 1, -1, -1):
+        # the nearest next member after which k more still fit; past a gap
+        # of L+1 the reach stays 0 and the room only shrinks
+        for e in range(left + 1, L + 2):
+            if _fits(k, end - x - e, _reach(e, L), right, L):
+                break
+        else:
+            raise RuntimeError(f"gap DP found no room for {k + 1} more receivers after {x}")
+        x, left = x + e, _reach(e, L)
+        served.append(x)
+    return value, tuple(served)
+
+
+def _served_by_subsets(t: Topology) -> dict[int, int]:
+    """Server map of the lexicographically first largest servable set, by subset scan."""
     K = t.K
     full = (1 << K) - 1
-    found: dict[int, int] | None = None
     for size in range(K, 0, -1):
         for combo in itertools.combinations(range(1, K + 1), size):
             mask = 0
@@ -386,15 +459,14 @@ def optimal_tdma(t: Topology, M: int | None = 1,
                     break
                 servers[j] = srv
             else:
-                found = servers
-                break
-        if found is not None:
-            break
-    if found is None:
-        raise InvalidParameterError("topology has no servable receiver; direct links are missing")
+                return servers
+    raise InvalidParameterError("topology has no servable receiver; direct links are missing")
 
+
+def _carrier_assignment(t: Topology, found: dict[int, int], M: int | None) -> MessageAssignment:
+    """Served messages ride their servers, the rest their lowest heard transmitter."""
     carriers = []
-    for i in range(1, K + 1):
+    for i in range(1, t.K + 1):
         if i in found:
             carriers.append(found[i])
         else:
@@ -402,8 +474,62 @@ def optimal_tdma(t: Topology, M: int | None = 1,
             if heard == 0:
                 raise InvalidParameterError(f"receiver {i} hears no transmitter")
             carriers.append((heard & -heard).bit_length())
-    assignment = singleton_assignment(carriers, budget=M)
+    return singleton_assignment(carriers, budget=M)
+
+
+def _optimal_tdma_generated(t: Topology, M: int | None
+                            ) -> tuple[MessageAssignment, TdmaSchedule, DofResult]:
+    """The gap DP's set as a one-entry schedule, after the runtime checks."""
+    value, served = _gap_dp(t)
+    mask = 0
+    for i in served:
+        mask |= 1 << (i - 1)
+    full = (1 << t.K) - 1
+    found = {}
+    for i in served:
+        server = _served_candidates(t, i, mask, full)
+        if server is None:
+            raise RuntimeError(f"gap DP serves receiver {i}, which no transmitter serves alone")
+        found[i] = server
+    assignment = _carrier_assignment(t, found, M)
+    schedule = TdmaSchedule(K=t.K, entries=((ServedSet.from_map(found), Fraction(1)),))
+    try:
+        validate_schedule(t, assignment, schedule)
+    except InvalidScheduleError as exc:
+        raise RuntimeError(f"gap DP schedule fails validation: {exc}") from exc
+    if len(found) != value:
+        raise RuntimeError(f"gap DP value {value} differs from its served-set size {len(found)}")
+    if t.mode == CYCLIC and value != max(1, 2 * t.K // (t.L + 2)):
+        raise RuntimeError(f"gap DP value {value} differs from max(1, floor(2K/(L+2)))")
+    return assignment, schedule, DofResult(sum_dof=Fraction(value), K=t.K, method=METHOD_TDMA_SEARCH)
+
+
+def optimal_tdma(t: Topology, M: int | None = 1,
+                 k_limit: int = TDMA_SEARCH_K_LIMIT) -> tuple[MessageAssignment, TdmaSchedule, DofResult]:
+    """Exact TDMA optimum over all assignments within budget M.
+
+    A fractional schedule's sum DoF is a convex combination of served-set
+    sizes, so the optimum concentrates on a single largest servable set;
+    and any served set picks one transmitter per message, so budgets above
+    one cannot enlarge the search space.  The search therefore looks for
+    the lexicographically first largest set of receivers that can each
+    claim a connected transmitter covering no other member.  Generated
+    topologies use the gap DP at any K and emit its one-entry schedule;
+    explicit ones scan subsets up to K <= k_limit, then re-derive the
+    schedule from the winning assignment's maximal served sets as a
+    cross-check.
+    """
+    if M is not None and (not isinstance(M, int) or isinstance(M, bool) or M < 1):
+        raise InvalidParameterError(f"budget M must be a positive integer or None, got {M!r}")
+    if t.mode in GENERATED_MODES:
+        return _optimal_tdma_generated(t, M)
+    if t.K > k_limit:
+        raise ResourceLimitError(
+            f"TDMA search limited to K <= {k_limit} on explicit topologies, got K={t.K}",
+            limit=k_limit)
+    found = _served_by_subsets(t)
+    assignment = _carrier_assignment(t, found, M)
     schedule, result = best_sum_schedule(t, assignment)
     if result.sum_dof != len(found):
-        raise RuntimeError("schedule LP disagrees with the served-set search")
+        raise RuntimeError("fixed-assignment schedule disagrees with the served-set search")
     return assignment, schedule, result

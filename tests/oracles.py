@@ -129,3 +129,46 @@ def received_maps_literal(scheme, c, receiver):
     others = [arrival(k) for k in range(1, K + 1) if k != i]
     interference = np.hstack(others) if others else np.zeros((n, 0), dtype=complex)
     return desired, interference
+
+
+def schedulable_pairwise(t, s):
+    """Served-set conditions checked pair by pair with connectivity queries.
+
+    Distinct servers; each server reaches its receiver; no server reaches
+    another served receiver.
+    """
+    pairs = s.servers
+    if len({j for _, j in pairs}) != len(pairs):
+        return False
+    for i, j in pairs:
+        if not t.connected(i, j):
+            return False
+    for i, _ in pairs:
+        for i2, j2 in pairs:
+            if i2 != i and t.connected(i, j2):
+                return False
+    return True
+
+
+def tdma_optimum_by_subsets(t):
+    """Server map of the lexicographically first largest servable receiver set.
+
+    Scans receiver subsets from the largest size down in combinations
+    order; a receiver's server is the lowest transmitter it hears that no
+    other member hears.
+    """
+    K = t.K
+    for size in range(K, 0, -1):
+        for combo in itertools.combinations(range(1, K + 1), size):
+            servers = {}
+            for i in combo:
+                server = next((j for j in range(1, K + 1)
+                               if t.connected(i, j)
+                               and not any(t.connected(i2, j) for i2 in combo if i2 != i)),
+                              None)
+                if server is None:
+                    break
+                servers[i] = server
+            else:
+                return servers
+    return None

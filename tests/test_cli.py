@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from timdof import __version__, cli, demand_graph
+from timdof import __version__, cli, demand_graph, schemes
 
 
 def run_cli(argv, capsys):
@@ -44,6 +44,20 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.parse_args(["tdma-lookup", "--K", "4"])
 
+    def test_back_to_back_commands_share_no_state(self):
+        # the parser is built once per process; each parse starts fresh
+        cfg = cli.parse_args(["tdma-search", "--K", "6", "--L", "2", "--M", "3",
+                              "--mode", "truncated", "--format", "json"])
+        assert (cfg.K, cfg.L, cfg.M, cfg.mode, cfg.fmt) == (6, 2, 3, "truncated", "json")
+        cfg = cli.parse_args(["sweep", "--L", "1..2"])
+        assert cfg == cli.ExperimentConfig(command="sweep", L_values=(1, 2))
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args(["lemma1", "--K", "4", "--L", "1", "--n", "2"])
+        assert err.value.code == cli.EXIT_USAGE
+        cfg = cli.parse_args(["tdma-search", "--K", "4", "--L", "1"])
+        assert cfg == cli.ExperimentConfig(command="tdma-search", K=4, L=1)
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestExitCodes:
     def test_success(self, capsys):
@@ -59,7 +73,7 @@ class TestExitCodes:
         assert "invalid input" in err
 
     def test_resource_error(self, capsys):
-        code, _, err = run_cli(["tdma-search", "--K", "99", "--L", "2"], capsys)
+        code, _, err = run_cli(["topology", "--K", "99", "--L", "2", "--chordal"], capsys)
         assert code == cli.EXIT_RESOURCE
         assert "resource limit" in err
 
@@ -70,6 +84,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal check failed: tile bound failed for L=4")
         assert "Traceback" not in err
+
+    def test_gap_dp_failure_is_internal(self, monkeypatch, capsys):
+        real = schemes._gap_dp
+        monkeypatch.setattr(schemes, "_gap_dp", lambda t: (real(t)[0] + 1, real(t)[1] + (t.K,)))
+        code, out, err = run_cli(["tdma-search", "--K", "8", "--L", "2"], capsys)
+        assert code == cli.EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal check failed: gap DP serves receiver")
 
     def test_converse_sample_rejects_json(self, capsys):
         code, out, err = run_cli(
@@ -133,6 +155,17 @@ class TestDeterministicArtifacts:
         per_user = [r.split(",")[-1] for r in rows[1:]]
         assert per_user == ["2/3", "1/2", "2/5", "1/3"]
         assert err.count("optimal=") == 4
+
+    def test_sweep_past_the_old_search_cap(self, capsys):
+        code, out, _ = run_cli(["sweep", "--L", "1..4", "--K-multiple", "3"], capsys)
+        assert code == cli.EXIT_OK
+        rows = [r.split(",") for r in out.splitlines()[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [("9", "2/3"), ("12", "1/2"), ("15", "2/5"), ("18", "1/3")]
+
+    def test_tdma_search_at_large_k(self, capsys):
+        code, out, _ = run_cli(["tdma-search", "--K", "3000", "--L", "4"], capsys)
+        assert code == cli.EXIT_OK
+        assert out.splitlines()[1] == "3000,4,cyclic,1,1000,1,1/3"
 
     def test_topology_chordal_json(self, capsys):
         code, out, _ = run_cli(
@@ -273,6 +306,9 @@ GOLDEN_STDOUT = {
 }
 
 
+TDMA_SEARCH_JSON_SHA256 = "52d5d10894955c6a9c36e19df9f3d5f7af6b734e86c27e9fe676e27d7694e019"
+
+
 def assert_golden(out, expected):
     if expected.startswith("sha256:"):
         assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected
@@ -286,6 +322,19 @@ class TestGoldenArtifacts:
         code, out, _ = run_cli(args.split() + ["--format", fmt], capsys)
         assert code == cli.EXIT_OK
         assert_golden(out, GOLDEN_STDOUT[args, fmt])
+
+    def test_tdma_search_json_on_every_small_generated_instance(self, capsys):
+        # both modes, K <= 16, every L < K: 272 documents, hashed in this
+        # order; pinned while the search still scanned receiver subsets
+        digest = hashlib.sha256()
+        for mode in ("cyclic", "truncated"):
+            for K in range(1, 17):
+                for L in range(K):
+                    code, out, _ = run_cli(["tdma-search", "--K", str(K), "--L", str(L),
+                                            "--mode", mode, "--format", "json"], capsys)
+                    assert code == cli.EXIT_OK
+                    digest.update(out.encode())
+        assert digest.hexdigest() == TDMA_SEARCH_JSON_SHA256
 
     def test_converse_sample_density_one_is_the_default(self, capsys):
         args = "converse-sample --K 8 --L 2 --trials 3 --realizations 2 --seed 5"

@@ -1,11 +1,13 @@
 """Assignments, served sets, fractional TDMA schedules, and the exact search."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import schedulable_pairwise, tdma_optimum_by_subsets
 from timdof import schemes, topology
 from timdof.errors import (
     InvalidAssignmentError,
@@ -31,6 +33,30 @@ def topologies_with_assignment(draw, max_k=8):
     carriers = [draw(st.sampled_from(topology.transmitters_heard_by(t, i)))
                 for i in range(1, t.K + 1)]
     return t, schemes.singleton_assignment(carriers)
+
+
+@st.composite
+def any_topologies(draw, max_k=7):
+    if draw(st.booleans()):
+        return draw(generated_topologies(max_k))
+    K = draw(st.integers(1, max_k))
+    pairs = st.tuples(st.integers(1, K), st.integers(1, K))
+    extra = draw(st.lists(pairs, max_size=2 * K))
+    return topology.explicit_topology(K, [(i, i) for i in range(1, K + 1)] + extra)
+
+
+@st.composite
+def topologies_with_served_set(draw, max_k=7):
+    """A topology and any served set over it, servable or not; indices may reach K+1."""
+    t = draw(any_topologies(max_k))
+    receivers = draw(st.lists(st.integers(1, t.K + 1), unique=True, max_size=t.K + 1))
+    servers = {}
+    for i in receivers:
+        # mostly heard transmitters, so that cross interference decides
+        heard = topology.transmitters_heard_by(t, i) if i <= t.K else ()
+        anywhere = st.integers(1, t.K + 1)
+        servers[i] = draw(st.one_of(st.sampled_from(heard), anywhere) if heard else anywhere)
+    return t, schemes.ServedSet.from_map(servers)
 
 
 class TestMessageAssignment:
@@ -138,6 +164,27 @@ class TestIsSchedulable:
         # L=0: no cross interference possible, but one transmitter, two messages
         s = schemes.ServedSet(servers=((1, 1), (2, 1)))
         assert not schemes.is_schedulable(t, s)
+
+    def test_out_of_range_index_raises(self):
+        with pytest.raises(InvalidParameterError):
+            schemes.is_schedulable(self.t, schemes.ServedSet.from_map({1: 7}))
+        with pytest.raises(InvalidParameterError):
+            schemes.is_schedulable(self.t, schemes.ServedSet.from_map({1: 1, 7: 2}))
+        # a shared transmitter is rejected before any index is checked
+        assert not schemes.is_schedulable(self.t, schemes.ServedSet.from_map({1: 1, 7: 1}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(topologies_with_served_set())
+    def test_matches_pairwise_oracle(self, pair):
+        t, s = pair
+
+        def outcome(check):
+            try:
+                return check(t, s)
+            except InvalidParameterError:
+                return "raised"
+
+        assert outcome(schemes.is_schedulable) == outcome(schedulable_pairwise)
 
 
 class TestValidateSchedule:
@@ -295,7 +342,7 @@ class TestOptimalTdma:
         assert schemes.optimal_tdma(t) == schemes.optimal_tdma(t)
 
     def test_size_limit_enforced(self):
-        t = topology.make_locally_connected(17, 2, topology.TRUNCATED)
+        t = topology.explicit_topology(17, [(i, i) for i in range(1, 18)])
         with pytest.raises(ResourceLimitError):
             schemes.optimal_tdma(t)
 
@@ -312,8 +359,49 @@ class TestOptimalTdma:
             return sched, dataclasses.replace(res, sum_dof=res.sum_dof - 1)
 
         monkeypatch.setattr(schemes, "best_sum_schedule", one_short)
+        # explicit topologies keep the subset scan and its schedule cross-check
+        t = topology.explicit_topology(4, [(i, i) for i in range(1, 5)] + [(2, 1), (4, 3)])
+        with pytest.raises(RuntimeError, match="disagrees with the served-set search"):
+            schemes.optimal_tdma(t)
+
+    def test_generated_path_skips_schedule_cross_check(self, monkeypatch):
+        def unused(t, a):
+            raise AssertionError("generated topologies emit the gap DP schedule directly")
+
+        monkeypatch.setattr(schemes, "best_sum_schedule", unused)
+        monkeypatch.setattr(schemes, "maximal_servable_sets", unused)
         t = topology.make_locally_connected(8, 2, topology.CYCLIC)
-        with pytest.raises(RuntimeError, match="schedule LP disagrees"):
+        _, sched, res = schemes.optimal_tdma(t)
+        assert res.sum_dof == 4 and len(sched.entries) == 1 and sched.entries[0][1] == 1
+
+    @pytest.mark.parametrize("mode", topology.GENERATED_MODES)
+    def test_unservable_gap_dp_receiver_raises(self, mode, monkeypatch):
+        real = schemes._gap_dp
+
+        def with_lowest_unserved(t):
+            # the extra receiver crowds a member out of its server's reach
+            value, served = real(t)
+            extra = min(set(range(1, t.K + 1)) - set(served))
+            return value + 1, tuple(sorted(served + (extra,)))
+
+        monkeypatch.setattr(schemes, "_gap_dp", with_lowest_unserved)
+        t = topology.make_locally_connected(8, 2, mode)
+        with pytest.raises(RuntimeError, match="which no transmitter serves alone"):
+            schemes.optimal_tdma(t)
+
+    def test_gap_dp_value_must_match_its_set(self, monkeypatch):
+        real = schemes._gap_dp
+        monkeypatch.setattr(schemes, "_gap_dp", lambda t: (real(t)[0] + 1, real(t)[1]))
+        t = topology.make_locally_connected(8, 2, topology.TRUNCATED)
+        with pytest.raises(RuntimeError, match="differs from its served-set size"):
+            schemes.optimal_tdma(t)
+
+    def test_gap_dp_value_must_match_cyclic_closed_form(self, monkeypatch):
+        real = schemes._gap_dp
+        # one member short: still servable and self-consistent, but not optimal
+        monkeypatch.setattr(schemes, "_gap_dp", lambda t: (real(t)[0] - 1, real(t)[1][:-1]))
+        t = topology.make_locally_connected(8, 2, topology.CYCLIC)
+        with pytest.raises(RuntimeError, match=re.escape("differs from max(1, floor(2K/(L+2)))")):
             schemes.optimal_tdma(t)
 
     @settings(max_examples=30, deadline=None)
@@ -332,3 +420,41 @@ class TestOptimalTdma:
         _, fixed = schemes.best_sum_schedule(t, a)
         _, _, best = schemes.optimal_tdma(t)
         assert fixed.sum_dof <= best.sum_dof
+
+
+class TestGapDp:
+    def test_matches_subset_oracle(self):
+        checked = 0
+        for mode in topology.GENERATED_MODES:
+            for K in range(1, 13):
+                for L in range(K):
+                    t = topology.make_locally_connected(K, L, mode)
+                    want = tdma_optimum_by_subsets(t)
+                    value, served = schemes._gap_dp(t)
+                    assert (value, served) == (len(want), tuple(sorted(want))), (mode, K, L)
+                    _, sched, res = schemes.optimal_tdma(t)
+                    assert sched.entries[0][0].server_of == want, (mode, K, L)
+                    assert res.sum_dof == len(want)
+                    checked += 1
+        assert checked == 156
+
+    def test_cyclic_closed_form(self):
+        for K in range(1, 301):
+            for L in range(min(K, 7)):
+                t = topology.make_locally_connected(K, L, topology.CYCLIC)
+                assert schemes._gap_dp(t)[0] == max(1, 2 * K // (L + 2)), (K, L)
+
+    def test_truncated_closed_form(self):
+        # two receivers per block of L+2, one more in a non-empty tail
+        for K in range(1, 301):
+            for L in range(min(K, 7)):
+                t = topology.make_locally_connected(K, L, topology.TRUNCATED)
+                want = 2 * (K // (L + 2)) + (K % (L + 2) > 0)
+                assert schemes._gap_dp(t)[0] == want, (K, L)
+
+    @pytest.mark.parametrize("mode", topology.GENERATED_MODES)
+    def test_wide_coverage_at_large_k(self, mode):
+        t = topology.make_locally_connected(400, 300, mode)
+        a, sched, res = schemes.optimal_tdma(t)
+        schemes.validate_schedule(t, a, sched)
+        assert res.sum_dof == (2 if mode == topology.CYCLIC else 3)
