@@ -8,6 +8,7 @@ table reports the measured gap without asserting either way.
 """
 
 import argparse
+import collections
 import csv
 import sys
 
@@ -23,7 +24,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rows = []
-    gaps = 0
+    gaps = collections.Counter()  # (mode, L+2 divides K) -> strict gaps
     for mode in topology.GENERATED_MODES:
         for K in range(2, args.K_max + 1):
             for L in range(0, min(args.L_max, K - 1) + 1):
@@ -34,7 +35,8 @@ def main(argv=None):
                 except ResourceLimitError:
                     continue
                 gap = bound.value - best.sum_dof
-                gaps += gap > 0
+                if gap > 0:
+                    gaps[mode, K % (L + 2) == 0] += 1
                 rows.append([
                     mode, K, L,
                     serialize.fraction_str(best.sum_dof),
@@ -49,8 +51,12 @@ def main(argv=None):
     writer.writerows(rows)
     if fh is not sys.stdout:
         fh.close()
-    print(f"{len(rows)} instances, {gaps} with a strict bound-vs-TDMA gap "
-          f"(all at cyclic K not divisible by L+2)", file=sys.stderr)
+    summary = f"{len(rows)} instances, {gaps.total()} with a strict bound-vs-TDMA gap"
+    if gaps:
+        summary += " (" + ", ".join(
+            f"{n} {mode} with L+2 {'dividing' if divides else 'not dividing'} K"
+            for (mode, divides), n in sorted(gaps.items())) + ")"
+    print(summary, file=sys.stderr)
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import lp
 from .errors import (
@@ -33,7 +33,6 @@ from .topology import CYCLIC, Topology, iter_bits
 
 DEMAND_LP_K_LIMIT = 12
 ASSIGNMENT_ENUMERATION_LIMIT = 20000
-TILE_CERTIFICATION_L_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -187,62 +186,30 @@ def verify_certificate(bound: DofBound, K: int) -> bool:
     return total == bound.value and all(c >= 1 for c in coverage)
 
 
-@lru_cache(maxsize=None)
-def _tile_patterns_bounded(L: int) -> bool:
-    """Runtime lemma check: over a tile of L+2 consecutive users, any carrier
-    offsets admit total DoF at most 2.
-
-    For each of the (L+1)^(L+2) within-tile offset patterns, either two
-    acyclic subsets cover the tile (so the tile sum is at most 2 by adding
-    the two constraints), or the exact within-tile LP confirms the bound.
-    """
-    width = L + 2
-    full = (1 << width) - 1
-    for pattern in itertools.product(range(L + 1), repeat=width):
-        cover = []
-        for v in range(width):
-            lo = v - pattern[v]
-            m = 0
-            for u in range(max(0, lo), min(width - 1, lo + L) + 1):
-                m |= 1 << u
-            cover.append(m)
-        acyclic = bytearray(1 << width)
-        acyclic[0] = 1
-        for m in range(1, 1 << width):
-            for v in iter_bits(m):
-                if cover[v] & m == m and acyclic[m & ~(1 << v)]:
-                    acyclic[m] = 1
-                    break
-        acyclic_masks = [m for m in range(1 << width) if acyclic[m]]
-        if any(acyclic[full & ~m1] for m1 in acyclic_masks):
-            continue
-        # no two-subset cover: fall back to the exact within-tile LP
-        maximal = [m for m in acyclic_masks
-                   if not any(acyclic[m | (1 << v)] for v in range(width) if not m & (1 << v))]
-        A = [[1 if m & (1 << v) else 0 for v in range(width)] for m in maximal]
-        res = lp.maximize(c=[1] * width, A=A, b=[1] * len(maximal))
-        if res.value > 2:
-            return False
-    return True
-
-
 def _certified_cyclic_bound(t: Topology) -> DofBound:
     """Certified optimum 2K/(L+2) for cyclic K divisible by L+2, in closed form.
 
     Partitioning the users into K/(L+2) tiles bounds every assignment's LP
-    by 2 per tile (runtime-checked lemma).  The boundary-offset assignment
-    below carries each tile's last message on the tile's second transmitter,
-    so per tile starting at s the windows {s..s+L} and {s+1..s+L+1} are
-    acyclic and cover the tile: weight 1 on each is a dual certificate for
-    2K/(L+2).  The tile-boundary messages s and s+L+1 are pairwise locked
-    into 2-cycles, so the indicator vector on them is primal feasible with
-    the same value; by weak duality the candidate's LP optimum is exactly
-    2K/(L+2), with O(K L^2) mask operations and no LP solve.
+    by 2 per tile.  Number a tile's users 0..L+1; message v rides a carrier
+    at t_v in [v-L, v], which covers [t_v, t_v+L].  A message with
+    t_v <= 0 covers [0, v], so within that group every receiver hears the
+    highest member's carrier and the group is acyclic (peel the highest
+    first); a message with t_v >= 1 covers [v, L+1], so that group is
+    acyclic too (peel the lowest first).  The two groups partition the
+    tile, so its sum is at most 2.  On the cycle, wrap-around only adds
+    coverage and removes demand edges, so this holds for every L and
+    every K divisible by L+2, K = L+2 included.
+
+    The boundary-offset assignment below carries each tile's last message
+    on the tile's second transmitter, so per tile starting at s the
+    windows {s..s+L} and {s+1..s+L+1} are acyclic and cover the tile:
+    weight 1 on each is a dual certificate for 2K/(L+2).  The tile-boundary
+    messages s and s+L+1 are pairwise locked into 2-cycles, so the
+    indicator vector on them is primal feasible with the same value; by
+    weak duality the candidate's LP optimum is exactly 2K/(L+2), with
+    O(K L^2) mask operations and no LP solve.
     """
     K, L = t.K, t.L
-    if not _tile_patterns_bounded(L):
-        raise RuntimeError(
-            f"tile bound failed for L={L}; certified path is unsound here")
     width = L + 2
     carriers = [v - L if v % width == 0 else v for v in range(1, K + 1)]
     candidate = singleton_assignment(carriers, budget=1)
@@ -313,16 +280,11 @@ def best_assignment_upper_bound(t: Topology,
             raise InvalidParameterError("some receiver hears no transmitter")
         space *= bin(m).count("1")
 
-    certifiable = (
-        t.mode == CYCLIC
-        and t.L <= TILE_CERTIFICATION_L_LIMIT
-        and t.K % (t.L + 2) == 0
-        and t.K >= 2 * t.L + 2)
+    certifiable = t.mode == CYCLIC and t.K % (t.L + 2) == 0
     if method == "certified":
         if not certifiable:
             raise InvalidParameterError(
-                "certified path needs a cyclic topology with K a multiple of L+2, "
-                f"K >= 2L+2, and L <= {TILE_CERTIFICATION_L_LIMIT}")
+                "certified path needs a cyclic topology with K a multiple of L+2")
         return _certified_cyclic_bound(t)
     if method == "auto" and space > enumeration_limit:
         if certifiable:

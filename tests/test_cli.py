@@ -78,11 +78,11 @@ class TestExitCodes:
         assert "resource limit" in err
 
     def test_internal_check_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(demand_graph, "_tile_patterns_bounded", lambda L: False)
+        monkeypatch.setattr(demand_graph, "verify_certificate", lambda *args: False)
         code, out, err = run_cli(["demand-bound", "--K", "12", "--L", "4"], capsys)
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""
-        assert err.startswith("internal check failed: tile bound failed for L=4")
+        assert err.startswith("internal check failed: certificate check failed")
         assert "Traceback" not in err
 
     def test_gap_dp_failure_is_internal(self, monkeypatch, capsys):
@@ -161,6 +161,16 @@ class TestDeterministicArtifacts:
         assert code == cli.EXIT_OK
         rows = [r.split(",") for r in out.splitlines()[1:]]
         assert [(r[0], r[-1]) for r in rows] == [("9", "2/3"), ("12", "1/2"), ("15", "2/5"), ("18", "1/3")]
+
+    def test_sweep_past_l_4(self, capsys):
+        code, out, err = run_cli(["sweep", "--L", "5..8"], capsys)
+        assert code == cli.EXIT_OK
+        assert [r.split(",")[-1] for r in out.splitlines()[1:]] == ["2/7", "1/4", "2/9", "1/5"]
+        lines = err.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            fields = dict(f.split("=") for f in line.split())
+            assert fields["bound"] == fields["optimal"], line
 
     def test_tdma_search_at_large_k(self, capsys):
         code, out, _ = run_cli(["tdma-search", "--K", "3000", "--L", "4"], capsys)

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,7 +164,7 @@ class TestBestAssignmentUpperBound:
         assert bound.value == F(want) == F(2 * K, L + 2)
         assert demand_graph.verify_certificate(bound, K)
 
-    @pytest.mark.parametrize("K,L", [(4, 0), (6, 1), (8, 2)])
+    @pytest.mark.parametrize("K,L", [(4, 0), (6, 1), (8, 2), (3, 1), (4, 2), (5, 3)])
     def test_certified_route_matches_exhaustive(self, K, L):
         t = topology.make_locally_connected(K, L, topology.CYCLIC)
         certified = demand_graph.best_assignment_upper_bound(t, method="certified")
@@ -212,6 +214,10 @@ CERTIFIABLE = [(K, L) for L in range(5) for K in range(L + 2, 49, L + 2) if K >=
 # instance, pinned from the route that solved the candidate's dense LP.
 CERTIFIED_GOLDEN = "b9bebee2cbbe98e9d693418222d0c6f2d9f5dc8c18d6c2a71a2c1eff3ca2cb77"
 
+# one-tile rings (K = L+2) and L = 5..8, outside CERTIFIABLE's pinned grid
+BEYOND_GOLDEN = [(L + 2, L) for L in range(1, 5)] + [
+    (K, L) for L in range(5, 9) for K in (L + 2, 2 * (L + 2))]
+
 
 def _certified(K, L):
     t = topology.make_locally_connected(K, L, topology.CYCLIC)
@@ -229,7 +235,7 @@ class TestCertifiedClosedForm:
         assert len(CERTIFIABLE) == 65
         assert h.hexdigest() == CERTIFIED_GOLDEN
 
-    @pytest.mark.parametrize("K,L", CERTIFIABLE)
+    @pytest.mark.parametrize("K,L", CERTIFIABLE + BEYOND_GOLDEN)
     def test_closed_form_agrees_with_the_candidate_lp(self, K, L):
         t, bound = _certified(K, L)
         g = demand_graph.build_demand_graph(t, bound.assignment)
@@ -263,10 +269,21 @@ class TestCertifiedClosedForm:
         with pytest.raises(RuntimeError, match="primal witness check failed"):
             demand_graph._certified_cyclic_bound(wider)
 
-    def test_failed_tile_lemma_raises(self, monkeypatch):
-        monkeypatch.setattr(demand_graph, "_tile_patterns_bounded", lambda L: False)
-        with pytest.raises(RuntimeError, match="tile bound failed"):
-            _certified(12, 4)
+
+class TestTileLemma:
+    @pytest.mark.parametrize("L", range(5))
+    def test_prefix_and_suffix_groups_are_acyclic(self, L):
+        # message v of a tile 0..L+1 rides a carrier at t_v in [v-L, v];
+        # the groups t_v <= 0 and t_v >= 1 must each be acyclic under the
+        # tile-clipped demand edges, for every offset pattern
+        width = L + 2
+        for offsets in itertools.product(range(L + 1), repeat=width):
+            starts = [v - o for v, o in enumerate(offsets)]
+            edges = [(u, v) for v in range(width) for u in range(width)
+                     if u != v and not starts[v] <= u <= starts[v] + L]
+            prefix = {v for v in range(width) if starts[v] <= 0}
+            for group in (prefix, set(range(width)) - prefix):
+                assert digraph_is_acyclic(group, edges), (offsets, sorted(group))
 
 
 class TestTightnessOnLocallyConnected:
@@ -281,3 +298,16 @@ class TestTightnessOnLocallyConnected:
                     _, _, res = schemes.optimal_tdma(t)
                     bound = demand_graph.best_assignment_upper_bound(t)
                     assert res.sum_dof == bound.value, (mode, K, L)
+
+    @pytest.mark.parametrize("k_max,summary", [
+        (4, "16 instances, 0 with a strict bound-vs-TDMA gap"),
+        (5, "22 instances, 1 with a strict bound-vs-TDMA gap "
+            "(1 cyclic with L+2 not dividing K)"),
+    ], ids=["no-gap", "one-gap"])
+    def test_census_summary_counts_the_gaps(self, k_max, summary, tmp_path, capsys):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "tightness_table.py"
+        census = runpy.run_path(str(script))["main"]
+        out = tmp_path / "census.csv"
+        assert census(["--K-max", str(k_max), "--L-max", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == summary + "\n"
+        assert len(out.read_text().splitlines()) == int(summary.split()[0]) + 1
