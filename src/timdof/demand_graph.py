@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedAssignmentError,
 )
 from .schemes import MessageAssignment, singleton_assignment
-from .topology import CYCLIC, Topology, iter_bits
+from .topology import CYCLIC, TRUNCATED, Topology, iter_bits
 
 DEMAND_LP_K_LIMIT = 12
 ASSIGNMENT_ENUMERATION_LIMIT = 20000
@@ -186,56 +186,103 @@ def verify_certificate(bound: DofBound, K: int) -> bool:
     return total == bound.value and all(c >= 1 for c in coverage)
 
 
-def _certified_cyclic_bound(t: Topology) -> DofBound:
-    """Certified optimum 2K/(L+2) for cyclic K divisible by L+2, in closed form.
+def _ring_arc(start: int, length: int, K: int) -> int:
+    """Mask of the `length` users from 0-based position `start` on, mod K."""
+    w = ((1 << length) - 1) << (start % K)
+    return (w | (w >> K)) & ((1 << K) - 1)
 
-    Partitioning the users into K/(L+2) tiles bounds every assignment's LP
-    by 2 per tile.  Number a tile's users 0..L+1; message v rides a carrier
-    at t_v in [v-L, v], which covers [t_v, t_v+L].  A message with
-    t_v <= 0 covers [0, v], so within that group every receiver hears the
-    highest member's carrier and the group is acyclic (peel the highest
-    first); a message with t_v >= 1 covers [v, L+1], so that group is
-    acyclic too (peel the lowest first).  The two groups partition the
-    tile, so its sum is at most 2.  On the cycle, wrap-around only adds
-    coverage and removes demand edges, so this holds for every L and
-    every K divisible by L+2, K = L+2 included.
 
-    The boundary-offset assignment below carries each tile's last message
-    on the tile's second transmitter, so per tile starting at s the
-    windows {s..s+L} and {s+1..s+L+1} are acyclic and cover the tile:
-    weight 1 on each is a dual certificate for 2K/(L+2).  The tile-boundary
-    messages s and s+L+1 are pairwise locked into 2-cycles, so the
-    indicator vector on them is primal feasible with the same value; by
-    weak duality the candidate's LP optimum is exactly 2K/(L+2), with
-    O(K L^2) mask operations and no LP solve.
+def _closed_form_bound(t: Topology) -> DofBound:
+    """Best-assignment bound of a generated topology, built in closed form.
+
+    Applies to every truncated topology and to cyclic ones with L+2 | K,
+    K = L+1 or even L.  Returns the candidate assignment, a dual
+    certificate of acyclic groups and the optimum, pinned by a primal
+    witness; no demand graph is built and no LP is solved.
+
+    Upper bound for every assignment.  Message v rides a carrier at t_v in
+    [v-L, v], which covers [t_v, t_v+L].  Tile lemma: on a run of L+2
+    consecutive users numbered 0..L+1, the messages with t_v <= 0 cover
+    [0, v], so every receiver of that group hears its highest member's
+    carrier and the group is acyclic (peel the highest first); those with
+    t_v >= 1 cover [v, L+1], so that group is acyclic too (peel the lowest
+    first).  The two groups partition the run, so its sum is at most 2.
+    Wrap-around on a cycle with K >= L+2 only adds coverage and removes
+    demand edges, so the lemma holds on every run.  Hence:
+      - cyclic, L+2 | K: K/(L+2) disjoint tiles give 2K/(L+2);
+      - cyclic, K >= L+2: each user lies in L+2 of the K runs, so summing
+        the lemma over all runs gives (L+2) sum d <= 2K, i.e. 2K/(L+2);
+      - truncated, r = K mod (L+2): a start block of users 1..r, then full
+        tiles.  A start-block carrier t_v >= 1 covers [v, r] since
+        r <= L+1, so the block is acyclic (peel the lowest first) and the
+        total is 2 floor(K/(L+2)) + [r > 0];
+      - cyclic, K = L+1: every receiver hears every transmitter, so there
+        is no demand edge and the sum is at most 1.
+
+    Candidates.  Tiles plus an end block (truncated, cyclic with L+2 | K,
+    cyclic with K = L+1): tiles of width L+2 start at user 1, and the last
+    user of each rides the tile's second transmitter, so the windows
+    {s..s+L} and {s+1..s+L+1} of the tile at s are acyclic; the last r
+    users all ride transmitter K-r+1 and form one group.  Each group has
+    weight 1, and the witness puts 1 on the tile-boundary messages s and
+    s+L+1 and on user K when r > 0.  Centred arcs (cyclic, even L, the
+    rest): message v rides transmitter v-L/2, covering [v-L/2, v+L/2];
+    the K arcs {v..v+L/2} have weight 2/(L+2) each, as does every message
+    in the witness.
+
+    Witness feasibility.  With h = 0 for tiles and h = L/2 for arcs, each
+    witness message's carrier is checked to reach exactly the witness
+    receivers within h of it on the ring, so the demand graph on the
+    witness is symmetric and an acyclic subset S of it has members
+    pairwise at most h apart.  From any x in S, the offsets -d and h+1-d
+    (d = 1..h) are h+1 apart, more than h as K >= 2h+2, so each such pair
+    holds at most one member and |S| <= h+1: weight 1/(h+1) per member is
+    feasible.  Its value equals the certificate's total, so by weak
+    duality the candidate's LP optimum equals the upper bound above.
+    Each failed check raises RuntimeError.
     """
     K, L = t.K, t.L
     width = L + 2
-    carriers = [v - L if v % width == 0 else v for v in range(1, K + 1)]
-    candidate = singleton_assignment(carriers, budget=1)
+    if t.mode == CYCLIC and K % width and K > L + 1:
+        h = L // 2
+        carriers = [(v - h - 1) % K + 1 for v in range(1, K + 1)]
+        weight = Fraction(1, h + 1)
+        groups = [(_ring_arc(v, h + 1, K), weight) for v in range(K)]
+        witness = (1 << K) - 1
+    else:
+        h = 0
+        r = K % width
+        carriers = [v - L if v % width == 0 else v for v in range(1, K - r + 1)]
+        carriers += [K - r + 1] * r
+        groups = []  # (mask, weight)
+        witness = 0
+        for s in range(0, K - r, width):  # 0-based tile starts
+            groups += [(_ring_arc(s, L + 1, K), Fraction(1)),
+                       (_ring_arc(s + 1, L + 1, K), Fraction(1))]
+            witness |= (1 << s) | (1 << (s + L + 1))
+        if r:
+            groups.append((_ring_arc(K - r, r, K), Fraction(1)))
+            witness |= 1 << (K - 1)
     # coverage of each message's carrier, the built graph's nonsource masks
     masks = tuple(t.tx_masks[c - 1] for c in carriers)
-    window = (1 << (L + 1)) - 1
     certificate = []
-    witness = 0
-    for s in range(0, K, width):  # 0-based tile starts
-        for w in (window << s, window << (s + 1)):
-            subset = frozenset(b + 1 for b in iter_bits(w))
-            if not _mask_acyclic(masks, w):
-                raise RuntimeError(
-                    f"acyclicity check failed: window {sorted(subset)} has a cycle")
-            certificate.append((subset, Fraction(1)))
-        witness |= (1 << s) | (1 << (s + L + 1))
-    for v in iter_bits(witness):
-        if masks[v] & witness != 1 << v:
+    for mask, weight in groups:
+        subset = frozenset(b + 1 for b in iter_bits(mask))
+        if not _mask_acyclic(masks, mask):
             raise RuntimeError(
-                f"primal witness check failed: message {v + 1} is not in a 2-cycle "
-                "with every other tile-boundary message")
-    bound = DofBound(value=Fraction(2 * K, width), certificate=tuple(certificate),
-                     assignment=candidate)
+                f"acyclicity check failed: window {sorted(subset)} has a cycle")
+        certificate.append((subset, weight))
+    for v in iter_bits(witness):
+        if masks[v] & witness != _ring_arc(v - h, 2 * h + 1, K) & witness:
+            raise RuntimeError(
+                f"primal witness check failed: message {v + 1}'s carrier does not reach "
+                f"exactly the witness receivers within {h} of it")
+    bound = DofBound(value=Fraction(witness.bit_count(), h + 1),
+                     certificate=tuple(certificate),
+                     assignment=singleton_assignment(carriers, budget=1))
     if not verify_certificate(bound, K):
         raise RuntimeError(
-            f"certificate check failed: the tile windows do not prove {bound.value}")
+            f"certificate check failed: the groups do not prove {bound.value}")
     return bound
 
 
@@ -260,48 +307,51 @@ def _rotate_carriers(carriers: tuple[int, ...], r: int, K: int) -> tuple[int, ..
     return tuple((carriers[(i - r) % K] + r - 1) % K + 1 for i in range(K))
 
 
-def best_assignment_upper_bound(t: Topology,
-                                enumeration_limit: int = ASSIGNMENT_ENUMERATION_LIMIT,
-                                k_limit: int = DEMAND_LP_K_LIMIT,
-                                method: str = "auto") -> DofBound:
+def best_assignment_upper_bound(t: Topology) -> DofBound:
     """Max of dof_upper_bound_lp over all valid single-transmitter assignments.
 
-    Small assignment spaces are enumerated exhaustively (one representative
-    per rotation orbit on cyclic topologies).  Cyclic topologies with K a
-    multiple of L+2 instead use the certified tile argument, which scales
-    past the enumeration limit.  method forces a path: "auto",
-    "exhaustive", or "certified".
+    Generated topologies take the closed form of _closed_form_bound,
+    except cyclic ones with odd L, L+2 not dividing K and K >= L+2; those
+    and explicit topologies are enumerated by _enumerated_bound.
     """
-    if method not in ("auto", "exhaustive", "certified"):
-        raise InvalidParameterError(f"unknown method {method!r}")
+    if t.mode == TRUNCATED or t.mode == CYCLIC and (
+            t.L % 2 == 0 or t.K % (t.L + 2) == 0 or t.K == t.L + 1):
+        return _closed_form_bound(t)
+    return _enumerated_bound(t)
+
+
+def _enumerated_bound(t: Topology) -> DofBound:
+    """Max of dof_upper_bound_lp over every assignment, one per rotation
+    orbit on cyclic topologies.
+
+    The route for topologies without a closed form, and the reference the
+    closed forms are tested against.  ASSIGNMENT_ENUMERATION_LIMIT and
+    DEMAND_LP_K_LIMIT are read at call time.
+    """
     space = 1
     for m in t.rx_masks:
         if m == 0:
             raise InvalidParameterError("some receiver hears no transmitter")
-        space *= bin(m).count("1")
-
-    certifiable = t.mode == CYCLIC and t.K % (t.L + 2) == 0
-    if method == "certified":
-        if not certifiable:
-            raise InvalidParameterError(
-                "certified path needs a cyclic topology with K a multiple of L+2")
-        return _certified_cyclic_bound(t)
-    if method == "auto" and space > enumeration_limit:
-        if certifiable:
-            return _certified_cyclic_bound(t)
+        space *= m.bit_count()
+    if t.mode == CYCLIC:
+        why = (f"cyclic K={t.K} L={t.L} has odd L with L+2 not dividing K, "
+               "so no closed form applies")
+    else:
+        why = f"{t.mode} topologies have no closed-form bound"
+    if space > ASSIGNMENT_ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"{space} assignments exceed the enumeration limit {enumeration_limit} "
-            "and no certified shortcut applies", limit=enumeration_limit)
-    # only the enumeration route pays the per-assignment LP cost at full K
-    if t.K > k_limit:
+            f"{why}, and its {space} assignments exceed the enumeration limit "
+            f"{ASSIGNMENT_ENUMERATION_LIMIT}", limit=ASSIGNMENT_ENUMERATION_LIMIT)
+    if t.K > DEMAND_LP_K_LIMIT:
         raise ResourceLimitError(
-            f"demand LP limited to K <= {k_limit}, got K={t.K}", limit=k_limit)
+            f"{why}, and the demand LP is limited to K <= {DEMAND_LP_K_LIMIT}, got K={t.K}",
+            limit=DEMAND_LP_K_LIMIT)
 
     best_value = None
     best_encoding = None
     for carriers in _enumerate_assignments(t):
         a = singleton_assignment(carriers, budget=1)
-        bound = dof_upper_bound_lp(build_demand_graph(t, a))
+        bound = dof_upper_bound_lp(build_demand_graph(t, a), k_limit=DEMAND_LP_K_LIMIT)
         if t.mode == CYCLIC:
             encoding = min(_rotate_carriers(carriers, r, t.K) for r in range(t.K))
         else:
@@ -310,7 +360,7 @@ def best_assignment_upper_bound(t: Topology,
                 bound.value == best_value and encoding < best_encoding):
             best_value, best_encoding = bound.value, encoding
     final = singleton_assignment(best_encoding, budget=1)
-    final_bound = dof_upper_bound_lp(build_demand_graph(t, final))
+    final_bound = dof_upper_bound_lp(build_demand_graph(t, final), k_limit=DEMAND_LP_K_LIMIT)
     if final_bound.value != best_value:
         raise RuntimeError("rotation symmetry violated")
     return final_bound

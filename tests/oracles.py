@@ -3,7 +3,9 @@
 Each oracle takes a deliberately different route from the production code:
 LP values come from basic-point enumeration instead of simplex, acyclicity
 from a three-color DFS instead of source peeling, chordality from brute
-subset enumeration, and received signals from literal scalar loops.
+subset enumeration, received signals from literal scalar loops, and the
+best-assignment bound from a plain product of assignments instead of
+rotation orbits.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from timdof import demand_graph, schemes
 
 
 def solve_exact(rows, rhs):
@@ -172,3 +176,16 @@ def tdma_optimum_by_subsets(t):
             else:
                 return servers
     return None
+
+
+def best_assignment_bound_by_product(t):
+    """Max of the demand LP over every single-transmitter assignment.
+
+    A plain product of the transmitters each receiver hears, with no
+    rotation orbits, so it checks the orbit reduction of the enumeration.
+    """
+    heard = [[j for j in range(1, t.K + 1) if t.connected(i, j)] for i in range(1, t.K + 1)]
+    return max(
+        demand_graph.dof_upper_bound_lp(
+            demand_graph.build_demand_graph(t, schemes.singleton_assignment(carriers))).value
+        for carriers in itertools.product(*heard))

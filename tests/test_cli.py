@@ -131,6 +131,25 @@ class TestDeterministicArtifacts:
         assert code == 0
         assert out.splitlines()[1] == "4,2,cyclic,1,4,3,1/3"
 
+    @pytest.mark.parametrize("argv,row", [
+        ("--K 13 --L 2", "13,2,cyclic,1,13,2,1/2"),
+        ("--K 20 --L 3 --mode truncated", "20,3,truncated,1,8,1,2/5"),
+        ("--K 7 --L 6", "7,6,cyclic,1,1,1,1/7"),
+    ])
+    def test_demand_bound_in_closed_form(self, argv, row, capsys):
+        # past the enumeration limit or the demand LP's K cap, no enumeration
+        code, out, _ = run_cli(["demand-bound"] + argv.split(), capsys)
+        assert code == cli.EXIT_OK
+        assert out.splitlines()[1] == row
+
+    def test_demand_bound_odd_l_residual_is_a_resource_limit(self, capsys):
+        code, out, err = run_cli(["demand-bound", "--K", "8", "--L", "3"], capsys)
+        assert code == cli.EXIT_RESOURCE
+        assert out == ""
+        assert err == ("resource limit: cyclic K=8 L=3 has odd L with L+2 not dividing K, "
+                       "so no closed form applies, and its 65536 assignments exceed "
+                       "the enumeration limit 20000\n")
+
     def test_decimal_flag_appends_float_column(self, capsys):
         code, out, _ = run_cli(
             ["tdma-search", "--K", "8", "--L", "2", "--decimal"], capsys)
