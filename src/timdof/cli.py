@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, demand_graph, linear_sim, schemes, serialize, topology
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 
 OUTPUT_DIR_ENV = "TIMDOF_OUTPUT_DIR"
 
@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("topology", help="emit a topology document, optionally with a chordality check")
     common(p)
+    p.set_defaults(fmt="json")
     p.add_argument("--chordal", action="store_true", help="include the chordal-bipartite verdict")
 
     p = sub.add_parser("tdma-search", help="exact optimal TDMA over assignments and schedules")
@@ -155,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="K = multiple * (L+2) per L, cyclic mode")
     p.add_argument("--M", type=int, default=1)
     p.add_argument("--out", help=f"output path (relative paths resolve under ${OUTPUT_DIR_ENV})")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
     p.add_argument("--decimal", action="store_true")
     return parser
 
@@ -170,7 +170,7 @@ def parse_args(argv) -> ExperimentConfig:
 
 
 def _resolve_out(path: str | None) -> str | None:
-    if path is None:
+    if path is None or path == "-":
         return None
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -183,10 +183,13 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _header_line(seed: int) -> str:
@@ -229,11 +232,12 @@ def _emit_scheme(cfg: ExperimentConfig, result, M: int = 1, **parts) -> int:
 
 
 def _run_topology(cfg: ExperimentConfig) -> int:
+    if cfg.fmt != "json":
+        raise InvalidParameterError("topology writes JSON only")
     t = topology.make_locally_connected(cfg.K, cfg.L, cfg.mode)
     doc = serialize.topology_to_dict(t)
     if cfg.chordal:
-        verdict = topology.is_chordal_bipartite(t)
-        doc["chordal_bipartite"] = "inconclusive" if verdict is None else verdict
+        doc["chordal_bipartite"] = topology.is_chordal_bipartite(t)
     _emit(serialize.dumps(doc), _resolve_out(cfg.out))
     return EXIT_OK
 

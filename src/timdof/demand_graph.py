@@ -11,7 +11,9 @@ The key structural fact used throughout: an acyclic subset always
 contains a node with no incoming edges, and that node's carrier must
 cover the whole subset.  Candidate subsets therefore live inside the
 coverage neighbourhoods, which keeps enumeration small for locally
-connected topologies.
+connected topologies.  A graph is stored as exactly those neighbourhoods,
+one no-incoming-edge mask per node, so building one reads one topology
+mask per message.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import lp
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     UnsupportedAssignmentError,
 )
 from .schemes import MessageAssignment, singleton_assignment
-from .topology import CYCLIC, TRUNCATED, Topology, iter_bits
+from .topology import CYCLIC, TRUNCATED, Topology, iter_bits, ring_arc
 
 DEMAND_LP_K_LIMIT = 12
 ASSIGNMENT_ENUMERATION_LIMIT = 20000
@@ -37,30 +38,28 @@ ASSIGNMENT_ENUMERATION_LIMIT = 20000
 
 @dataclass(frozen=True)
 class DemandGraph:
-    """Directed demand graph over collapsed message-destination nodes."""
+    """Directed demand graph over collapsed message-destination nodes.
+
+    Stored as one mask per node: nonsource_masks[v-1] holds node v and
+    every node u with NO edge u -> v.  For a built graph this is exactly
+    the coverage of message v's carrier.  A node whose mask contains a
+    subset S has in-degree zero within S.
+    """
 
     K: int
-    edges: frozenset[tuple[int, int]]  # (u, v) means u -> v
+    nonsource_masks: tuple[int, ...]
     assignment: MessageAssignment | None = None
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u <= self.K and 1 <= v <= self.K):
-                raise InvalidParameterError(f"edge ({u},{v}) outside 1..{self.K}")
-            if u == v:
-                raise InvalidParameterError(f"demand graph admits no self-loop, got ({u},{v})")
-
-    @cached_property
-    def nonsource_masks(self) -> tuple[int, ...]:
-        """nonsource_masks[v-1] holds the nodes u with NO edge u -> v (plus v).
-
-        For built graphs this is exactly the coverage of message v's carrier;
-        a node whose mask contains a subset S has in-degree zero within S.
-        """
-        masks = [(1 << self.K) - 1] * self.K
-        for u, v in self.edges:
-            masks[v - 1] &= ~(1 << (u - 1))
-        return tuple(masks)
+        if len(self.nonsource_masks) != self.K:
+            raise InvalidParameterError(
+                f"demand graph over {self.K} nodes needs {self.K} masks, "
+                f"got {len(self.nonsource_masks)}")
+        outside = ~((1 << self.K) - 1)
+        for v, mask in enumerate(self.nonsource_masks):
+            if mask & outside or not mask >> v & 1:
+                raise InvalidParameterError(
+                    f"node {v + 1}'s mask must lie inside 1..{self.K} and hold node {v + 1}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def build_demand_graph(t: Topology, a: MessageAssignment) -> DemandGraph:
     """Collapse message-destination pairs under a single-transmitter assignment."""
     if a.K != t.K:
         raise InvalidAssignmentError(f"assignment is over {a.K} users, topology has {t.K}")
-    carriers = []
+    masks = []
     for i, ts in enumerate(a.transmit_sets, start=1):
         if len(ts) != 1:
             raise UnsupportedAssignmentError(
@@ -90,13 +89,9 @@ def build_demand_graph(t: Topology, a: MessageAssignment) -> DemandGraph:
         if not t.connected(i, tx):
             raise InvalidAssignmentError(
                 f"message {i} is carried by transmitter {tx}, which receiver {i} does not hear")
-        carriers.append(tx)
-    edges = frozenset(
-        (u, v)
-        for u in range(1, t.K + 1)
-        for v in range(1, t.K + 1)
-        if u != v and not t.connected(u, carriers[v - 1]))
-    return DemandGraph(K=t.K, edges=edges, assignment=a)
+        # receiver u has an edge to message i exactly when u misses its carrier
+        masks.append(t.tx_masks[tx - 1])
+    return DemandGraph(K=t.K, nonsource_masks=tuple(masks), assignment=a)
 
 
 def _mask_acyclic(nonsource: tuple[int, ...], mask: int) -> bool:
@@ -186,19 +181,14 @@ def verify_certificate(bound: DofBound, K: int) -> bool:
     return total == bound.value and all(c >= 1 for c in coverage)
 
 
-def _ring_arc(start: int, length: int, K: int) -> int:
-    """Mask of the `length` users from 0-based position `start` on, mod K."""
-    w = ((1 << length) - 1) << (start % K)
-    return (w | (w >> K)) & ((1 << K) - 1)
-
-
 def _closed_form_bound(t: Topology) -> DofBound:
     """Best-assignment bound of a generated topology, built in closed form.
 
     Applies to every truncated topology and to cyclic ones with L+2 | K,
     K = L+1 or even L.  Returns the candidate assignment, a dual
     certificate of acyclic groups and the optimum, pinned by a primal
-    witness; no demand graph is built and no LP is solved.
+    witness; the checks read the candidate's demand graph masks, and no
+    LP is solved.
 
     Upper bound for every assignment.  Message v rides a carrier at t_v in
     [v-L, v], which covers [t_v, t_v+L].  Tile lemma: on a run of L+2
@@ -247,7 +237,7 @@ def _closed_form_bound(t: Topology) -> DofBound:
         h = L // 2
         carriers = [(v - h - 1) % K + 1 for v in range(1, K + 1)]
         weight = Fraction(1, h + 1)
-        groups = [(_ring_arc(v, h + 1, K), weight) for v in range(K)]
+        groups = [(ring_arc(v, h + 1, K), weight) for v in range(K)]
         witness = (1 << K) - 1
     else:
         h = 0
@@ -257,14 +247,14 @@ def _closed_form_bound(t: Topology) -> DofBound:
         groups = []  # (mask, weight)
         witness = 0
         for s in range(0, K - r, width):  # 0-based tile starts
-            groups += [(_ring_arc(s, L + 1, K), Fraction(1)),
-                       (_ring_arc(s + 1, L + 1, K), Fraction(1))]
+            groups += [(ring_arc(s, L + 1, K), Fraction(1)),
+                       (ring_arc(s + 1, L + 1, K), Fraction(1))]
             witness |= (1 << s) | (1 << (s + L + 1))
         if r:
-            groups.append((_ring_arc(K - r, r, K), Fraction(1)))
+            groups.append((ring_arc(K - r, r, K), Fraction(1)))
             witness |= 1 << (K - 1)
-    # coverage of each message's carrier, the built graph's nonsource masks
-    masks = tuple(t.tx_masks[c - 1] for c in carriers)
+    assignment = singleton_assignment(carriers, budget=1)
+    masks = build_demand_graph(t, assignment).nonsource_masks
     certificate = []
     for mask, weight in groups:
         subset = frozenset(b + 1 for b in iter_bits(mask))
@@ -273,13 +263,12 @@ def _closed_form_bound(t: Topology) -> DofBound:
                 f"acyclicity check failed: window {sorted(subset)} has a cycle")
         certificate.append((subset, weight))
     for v in iter_bits(witness):
-        if masks[v] & witness != _ring_arc(v - h, 2 * h + 1, K) & witness:
+        if masks[v] & witness != ring_arc(v - h, 2 * h + 1, K) & witness:
             raise RuntimeError(
                 f"primal witness check failed: message {v + 1}'s carrier does not reach "
                 f"exactly the witness receivers within {h} of it")
     bound = DofBound(value=Fraction(witness.bit_count(), h + 1),
-                     certificate=tuple(certificate),
-                     assignment=singleton_assignment(carriers, budget=1))
+                     certificate=tuple(certificate), assignment=assignment)
     if not verify_certificate(bound, K):
         raise RuntimeError(
             f"certificate check failed: the groups do not prove {bound.value}")

@@ -153,9 +153,11 @@ def sample_channel(t: Topology, n: int, coherence: str = TIME_VARYING,
         h = np.repeat(base[:, :, None], n, axis=2)
     else:
         h = (rng.standard_normal((K, K, n)) + 1j * rng.standard_normal((K, K, n))) / math.sqrt(2)
-    support = np.zeros((K, K))
-    for i, j in t.edges:
-        support[i - 1, j - 1] = 1.0
+    # one 0/1 row per receiver, unpacked from its mask's little-endian bytes
+    width = (K + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in t.rx_masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    support = bits.reshape(K, 8 * width)[:, :K].astype(float)
     return ChannelRealization(K=K, n=n, coherence=coherence, h=h * support[:, :, None])
 
 

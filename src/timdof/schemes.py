@@ -504,8 +504,7 @@ def _optimal_tdma_generated(t: Topology, M: int | None
     return assignment, schedule, DofResult(sum_dof=Fraction(value), K=t.K, method=METHOD_TDMA_SEARCH)
 
 
-def optimal_tdma(t: Topology, M: int | None = 1,
-                 k_limit: int = TDMA_SEARCH_K_LIMIT) -> tuple[MessageAssignment, TdmaSchedule, DofResult]:
+def optimal_tdma(t: Topology, M: int | None = 1) -> tuple[MessageAssignment, TdmaSchedule, DofResult]:
     """Exact TDMA optimum over all assignments within budget M.
 
     A fractional schedule's sum DoF is a convex combination of served-set
@@ -515,18 +514,18 @@ def optimal_tdma(t: Topology, M: int | None = 1,
     the lexicographically first largest set of receivers that can each
     claim a connected transmitter covering no other member.  Generated
     topologies use the gap DP at any K and emit its one-entry schedule;
-    explicit ones scan subsets up to K <= k_limit, then re-derive the
-    schedule from the winning assignment's maximal served sets as a
-    cross-check.
+    explicit ones scan subsets up to K <= TDMA_SEARCH_K_LIMIT (read at call
+    time), then re-derive the schedule from the winning assignment's
+    maximal served sets as a cross-check.
     """
     if M is not None and (not isinstance(M, int) or isinstance(M, bool) or M < 1):
         raise InvalidParameterError(f"budget M must be a positive integer or None, got {M!r}")
     if t.mode in GENERATED_MODES:
         return _optimal_tdma_generated(t, M)
-    if t.K > k_limit:
+    if t.K > TDMA_SEARCH_K_LIMIT:
         raise ResourceLimitError(
-            f"TDMA search limited to K <= {k_limit} on explicit topologies, got K={t.K}",
-            limit=k_limit)
+            f"TDMA search limited to K <= {TDMA_SEARCH_K_LIMIT} on explicit topologies, "
+            f"got K={t.K}", limit=TDMA_SEARCH_K_LIMIT)
     found = _served_by_subsets(t)
     assignment = _carrier_assignment(t, found, M)
     schedule, result = best_sum_schedule(t, assignment)

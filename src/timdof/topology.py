@@ -1,10 +1,11 @@
 """Locally connected network topologies and structural graph queries.
 
 A Topology records which receivers hear which transmitters in a K-user
-interference network.  Two generated families are supported: a truncated
-chain where transmitter j reaches receivers j..j+L clipped at K, and a
-cyclic variant where the same window wraps around modulo K.  Hand-built
-bipartite topologies are accepted for structural experiments.
+interference network, as one bit mask per receiver.  Two generated
+families are supported: a truncated chain where transmitter j reaches
+receivers j..j+L clipped at K, and a cyclic variant where the same
+window wraps around modulo K.  Hand-built bipartite topologies are
+accepted for structural experiments.
 
 All public indices are 1-based.
 """
@@ -39,40 +40,50 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def ring_arc(start: int, length: int, K: int) -> int:
+    """Mask of the `length` positions from 0-based `start` on, mod K."""
+    w = ((1 << length) - 1) << (start % K)
+    return (w | (w >> K)) & ((1 << K) - 1)
+
+
 @dataclass(frozen=True)
 class Topology:
-    """Immutable connectivity structure over (receiver, transmitter) pairs."""
+    """Immutable connectivity structure, stored as one bit mask per receiver.
+
+    rx_masks[i-1] has bit j-1 set iff receiver i hears transmitter j.  It is
+    the only stored form of connectivity: tx_masks and edges are views
+    derived from it on first use.
+    """
 
     K: int
     L: int | None
     mode: str
-    edges: frozenset[tuple[int, int]]  # (receiver, transmitter) pairs
+    rx_masks: tuple[int, ...]
 
     def connected(self, receiver: int, transmitter: int) -> bool:
         """True iff `receiver` hears `transmitter`."""
         self.check_index(receiver)
         self.check_index(transmitter)
-        return (receiver, transmitter) in self.edges
+        return bool(self.rx_masks[receiver - 1] >> (transmitter - 1) & 1)
 
     def check_index(self, idx: int) -> None:
         if not isinstance(idx, int) or isinstance(idx, bool) or not 1 <= idx <= self.K:
             raise InvalidParameterError(f"index {idx!r} outside 1..{self.K}")
 
     @cached_property
-    def rx_masks(self) -> tuple[int, ...]:
-        """rx_masks[i-1] has bit j-1 set iff receiver i hears transmitter j."""
-        masks = [0] * self.K
-        for i, j in self.edges:
-            masks[i - 1] |= 1 << (j - 1)
-        return tuple(masks)
-
-    @cached_property
     def tx_masks(self) -> tuple[int, ...]:
         """tx_masks[j-1] has bit i-1 set iff transmitter j reaches receiver i."""
         masks = [0] * self.K
-        for i, j in self.edges:
-            masks[j - 1] |= 1 << (i - 1)
+        for i, row in enumerate(self.rx_masks):
+            for j in iter_bits(row):
+                masks[j] |= 1 << i
         return tuple(masks)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (receiver, transmitter) pairs that are connected."""
+        return frozenset((i, j + 1) for i, row in enumerate(self.rx_masks, start=1)
+                         for j in iter_bits(row))
 
 
 def make_locally_connected(K: int, L: int, mode: str) -> Topology:
@@ -90,16 +101,12 @@ def make_locally_connected(K: int, L: int, mode: str) -> Topology:
         raise InvalidParameterError(f"need L < K, got L={L}, K={K}")
     if mode not in GENERATED_MODES:
         raise InvalidParameterError(f"mode must be one of {GENERATED_MODES}, got {mode!r}")
-    edges = set()
-    for j in range(1, K + 1):
-        for off in range(L + 1):
-            if mode == TRUNCATED:
-                i = j + off
-                if i <= K:
-                    edges.add((i, j))
-            else:
-                edges.add(((j - 1 + off) % K + 1, j))
-    return Topology(K=K, L=L, mode=mode, edges=frozenset(edges))
+    # receiver i (0-based) hears transmitters i-L..i
+    if mode == TRUNCATED:
+        masks = tuple((1 << (i + 1)) - (1 << max(0, i - L)) for i in range(K))
+    else:
+        masks = tuple(ring_arc(i - L, L + 1, K) for i in range(K))
+    return Topology(K=K, L=L, mode=mode, rx_masks=masks)
 
 
 def explicit_topology(K: int, edges) -> Topology:
@@ -108,7 +115,7 @@ def explicit_topology(K: int, edges) -> Topology:
     Every receiver must keep its direct link (i, i); indices are 1-based.
     """
     _check_count(K)
-    edge_set = set()
+    masks = [0] * K
     for e in edges:
         pair = tuple(e)
         if len(pair) != 2:
@@ -116,56 +123,45 @@ def explicit_topology(K: int, edges) -> Topology:
         i, j = pair
         if not (isinstance(i, int) and isinstance(j, int)) or not (1 <= i <= K and 1 <= j <= K):
             raise InvalidParameterError(f"edge {e!r} outside 1..{K}")
-        edge_set.add((i, j))
+        masks[i - 1] |= 1 << (j - 1)
     for i in range(1, K + 1):
-        if (i, i) not in edge_set:
+        if not masks[i - 1] >> (i - 1) & 1:
             raise InvalidParameterError(f"receiver {i} is missing its direct link ({i},{i})")
-    return Topology(K=K, L=None, mode=EXPLICIT, edges=frozenset(edge_set))
+    return Topology(K=K, L=None, mode=EXPLICIT, rx_masks=tuple(masks))
 
 
 def receivers_heard_by(t: Topology, j: int) -> tuple[int, ...]:
     """Receivers that hear transmitter j, ascending."""
     t.check_index(j)
-    return tuple(i for i in range(1, t.K + 1) if (i, j) in t.edges)
+    return tuple(i + 1 for i in iter_bits(t.tx_masks[j - 1]))
 
 
 def transmitters_heard_by(t: Topology, i: int) -> tuple[int, ...]:
     """Transmitters heard by receiver i, ascending."""
     t.check_index(i)
-    return tuple(j for j in range(1, t.K + 1) if (i, j) in t.edges)
+    return tuple(j + 1 for j in iter_bits(t.rx_masks[i - 1]))
 
 
-def is_chordal_bipartite(t: Topology, cycle_length_cap: int | None = None,
-                         k_limit: int = CHORDALITY_K_LIMIT) -> bool | None:
+def is_chordal_bipartite(t: Topology) -> bool:
     """Test whether the undirected bipartite topology graph is chordal bipartite.
 
     Chordal bipartite means every cycle of length >= 6 has a chord.  The
     check enumerates chordless cycles by depth-first extension of induced
-    paths anchored at their least node.  `cycle_length_cap`, when given,
-    bounds the cycle lengths examined; if the cap cut off the search
-    before a verdict the result is None (inconclusive) rather than a
-    claim.  Returns False as soon as a chordless cycle of length >= 6 is
-    found, True only after an exhaustive search.
+    paths anchored at their least node, so it is exhaustive: False as soon
+    as a chordless cycle of length >= 6 is found, True otherwise.
+    CHORDALITY_K_LIMIT is read at call time.
     """
-    if t.K > k_limit:
+    if t.K > CHORDALITY_K_LIMIT:
         raise ResourceLimitError(
-            f"chordality check limited to K <= {k_limit}, got K={t.K}", limit=k_limit)
-    if cycle_length_cap is not None and cycle_length_cap < 4:
-        raise InvalidParameterError("cycle_length_cap below the shortest bipartite cycle")
+            f"chordality check limited to K <= {CHORDALITY_K_LIMIT}, got K={t.K}",
+            limit=CHORDALITY_K_LIMIT)
 
     # Nodes 0..K-1 are receivers, K..2K-1 are transmitters.
-    n = 2 * t.K
-    adj = [0] * n
-    for i, j in t.edges:
-        adj[i - 1] |= 1 << (t.K + j - 1)
-        adj[t.K + j - 1] |= 1 << (i - 1)
-
-    pruned = False
+    adj = [row << t.K for row in t.rx_masks] + list(t.tx_masks)
     start_bit = 0
 
     def extend(path: list[int], path_mask: int, interior_adj: int) -> bool:
         # path is an induced path; interior nodes are not adjacent to path[0]
-        nonlocal pruned
         last = path[-1]
         cand = adj[last] & ~path_mask
         while cand:
@@ -181,9 +177,6 @@ def is_chordal_bipartite(t: Topology, cycle_length_cap: int | None = None,
                 if len(path) + 1 >= 6:
                     return True
                 continue  # a 4-cycle is allowed; extending past u would leave a chord
-            if cycle_length_cap is not None and len(path) + 1 >= cycle_length_cap:
-                pruned = True
-                continue
             path.append(u)
             new_interior = interior_adj | ((1 << last) if len(path) > 2 else 0)
             if extend(path, path_mask | low, new_interior):
@@ -197,4 +190,4 @@ def is_chordal_bipartite(t: Topology, cycle_length_cap: int | None = None,
         start_bit = 1 << v0
         if extend([v0], start_bit, 0):
             return False
-    return None if pruned else True
+    return True

@@ -2,10 +2,11 @@
 
 Each oracle takes a deliberately different route from the production code:
 LP values come from basic-point enumeration instead of simplex, acyclicity
-from a three-color DFS instead of source peeling, chordality from brute
-subset enumeration, received signals from literal scalar loops, and the
-best-assignment bound from a plain product of assignments instead of
-rotation orbits.
+from a three-color DFS instead of source peeling, demand edges from
+pair-by-pair connectivity queries instead of carrier coverage masks,
+chordality from brute subset enumeration, received signals from literal
+scalar loops, and the best-assignment bound from a plain product of
+assignments instead of rotation orbits.
 """
 
 from __future__ import annotations
@@ -85,6 +86,25 @@ def digraph_is_acyclic(nodes, edges):
         return True
 
     return all(color[v] != WHITE or visit(v) for v in nodes)
+
+
+def demand_edges(t, carriers):
+    """Demand edges u -> v, pair by pair: receiver u does not hear the
+    transmitter carrying message v."""
+    K = t.K
+    return frozenset((u, v) for u in range(1, K + 1) for v in range(1, K + 1)
+                     if u != v and not t.connected(u, carriers[v - 1]))
+
+
+def demand_graph_from_edges(K, edges):
+    """A hand-built DemandGraph: node v's mask drops every u with an edge u -> v.
+
+    A self-loop drops v from its own mask, which DemandGraph rejects.
+    """
+    masks = [(1 << K) - 1] * K
+    for u, v in edges:
+        masks[v - 1] &= ~(1 << (u - 1))
+    return demand_graph.DemandGraph(K=K, nonsource_masks=tuple(masks))
 
 
 def _subset_connected(sub, adj):

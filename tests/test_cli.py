@@ -93,6 +93,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal check failed: gap DP serves receiver")
 
+    @pytest.mark.parametrize("target", ["", "file.txt/out.csv"], ids=["directory", "under-a-file"])
+    def test_unwritable_out_is_a_validation_error(self, target, tmp_path, capsys):
+        (tmp_path / "file.txt").write_text("")
+        path = str(tmp_path / target)
+        code, out, err = run_cli(["tdma-search", "--K", "6", "--L", "2", "--out", path], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"invalid input: cannot write {path}: ")
+        assert "Traceback" not in err
+
+    def test_topology_rejects_csv(self, capsys):
+        code, out, err = run_cli("topology --K 4 --L 1 --format csv".split(), capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "invalid input: topology writes JSON only\n"
+
+    def test_sweep_has_no_format_flag(self, capsys):
+        code, out, _ = run_cli("sweep --L 1 --format json".split(), capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+
     def test_converse_sample_rejects_json(self, capsys):
         code, out, err = run_cli(
             "converse-sample --K 4 --L 2 --trials 1 --seed 1 --format json".split(), capsys)
@@ -203,6 +224,8 @@ class TestDeterministicArtifacts:
         doc = json.loads(out)
         assert doc["chordal_bipartite"] is False
         assert doc["mode"] == "cyclic"
+        assert run_cli(["topology", "--K", "4", "--L", "1", "--mode", "cyclic", "--chordal",
+                        "--format", "json"], capsys) == (0, out, "")
 
     def test_deterministic_header_only_on_randomized_artifacts(self, capsys):
         _, out, _ = run_cli(["tdma-search", "--K", "4", "--L", "1"], capsys)
@@ -263,6 +286,16 @@ class TestRandomizedArtifacts:
         code, _, _ = run_cli(["topology", "--K", "3", "--L", "1", "--out", str(target)], capsys)
         assert code == 0
         assert target.exists()
+
+    def test_out_dash_means_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+        args = ["converse-sample", "--K", "4", "--L", "2", "--trials", "2", "--seed", "9"]
+        code, out, _ = run_cli(args + ["--out", "-"], capsys)
+        assert code == 0
+        assert out == run_cli(args, capsys)[1]
+        assert out.startswith("# timdof ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_creates_missing_parent_directories(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))

@@ -1,5 +1,6 @@
 """Demand graphs, acyclic-subset enumeration, and exact LP outer bounds."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -18,7 +19,12 @@ from timdof.errors import (
     UnsupportedAssignmentError,
 )
 
-from oracles import best_assignment_bound_by_product, digraph_is_acyclic
+from oracles import (
+    best_assignment_bound_by_product,
+    demand_edges,
+    demand_graph_from_edges,
+    digraph_is_acyclic,
+)
 
 F = Fraction
 
@@ -29,10 +35,35 @@ def _graph(t, carriers):
 
 @st.composite
 def random_demand_graphs(draw, max_k=6):
+    """A hand-built demand graph and its edge set."""
     K = draw(st.integers(1, max_k))
     pool = [(u, v) for u in range(1, K + 1) for v in range(1, K + 1) if u != v]
     edges = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)) if pool else []
-    return demand_graph.DemandGraph(K=K, edges=frozenset(edges))
+    return demand_graph_from_edges(K, edges), frozenset(edges)
+
+
+@st.composite
+def random_topologies_and_carriers(draw, max_k=9):
+    """A generated or random explicit topology and one carrier per message
+    among the transmitters its receiver hears."""
+    K = draw(st.integers(1, max_k))
+    if draw(st.booleans()):
+        t = topology.make_locally_connected(
+            K, draw(st.integers(0, K - 1)), draw(st.sampled_from(topology.GENERATED_MODES)))
+    else:
+        pool = [(i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j]
+        extra = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+        t = topology.explicit_topology(K, [(i, i) for i in range(1, K + 1)] + extra)
+    carriers = [draw(st.sampled_from(topology.transmitters_heard_by(t, i)))
+                for i in range(1, K + 1)]
+    return t, carriers
+
+
+def _with_edge(t, receiver, transmitter):
+    # the same topology with one more (receiver, transmitter) link
+    masks = list(t.rx_masks)
+    masks[receiver - 1] |= 1 << (transmitter - 1)
+    return dataclasses.replace(t, rx_masks=tuple(masks))
 
 
 class TestBuildDemandGraph:
@@ -40,13 +71,23 @@ class TestBuildDemandGraph:
         t = topology.make_locally_connected(4, 2, topology.CYCLIC)
         g = _graph(t, [1, 2, 3, 4])
         # receiver u hears carriers u-2..u, so the only demand edge is u -> u+1
-        assert g.edges == frozenset({(1, 2), (2, 3), (3, 4), (4, 1)})
+        ring = demand_graph_from_edges(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
+        assert g.nonsource_masks == ring.nonsource_masks
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_topologies_and_carriers())
+    def test_masks_match_pairwise_edges(self, instance):
+        t, carriers = instance
+        g = _graph(t, carriers)
+        want = demand_graph_from_edges(t.K, demand_edges(t, carriers))
+        assert g.nonsource_masks == want.nonsource_masks
 
     def test_shared_carrier_messages_never_draw_edges_between_them(self):
         t = topology.make_locally_connected(4, 2, topology.CYCLIC)
         g = _graph(t, [1, 1, 3, 3])
-        for u, v in g.edges:
-            assert g.assignment.transmit_sets[u - 1] != g.assignment.transmit_sets[v - 1]
+        for u, v in itertools.permutations(range(1, 5), 2):
+            if g.assignment.transmit_sets[u - 1] == g.assignment.transmit_sets[v - 1]:
+                assert g.nonsource_masks[v - 1] >> (u - 1) & 1, (u, v)
 
     def test_multi_transmitter_assignment_unsupported(self):
         t = topology.make_locally_connected(3, 1, topology.CYCLIC)
@@ -61,33 +102,44 @@ class TestBuildDemandGraph:
             _graph(t, [1, 2, 3, 1])  # receiver 4 does not hear transmitter 1
 
     def test_self_loops_rejected(self):
+        with pytest.raises(InvalidParameterError, match="hold node 2"):
+            demand_graph_from_edges(3, {(2, 2)})
+
+    @pytest.mark.parametrize("masks", [
+        (0b111, 0b1010, 0b111),  # node 4 outside 1..3
+        (0b111, 0b111, -1),
+        (0b111, 0b111),
+    ], ids=["outside", "negative", "too-few"])
+    def test_malformed_masks_rejected(self, masks):
         with pytest.raises(InvalidParameterError):
-            demand_graph.DemandGraph(K=3, edges=frozenset({(2, 2)}))
+            demand_graph.DemandGraph(K=3, nonsource_masks=masks)
 
 
 class TestAcyclicSubsets:
     @settings(max_examples=80, deadline=None)
     @given(random_demand_graphs(), st.data())
-    def test_membership_matches_dfs_oracle(self, g, data):
+    def test_membership_matches_dfs_oracle(self, graph, data):
+        g, edges = graph
         subset = data.draw(st.sets(st.integers(1, g.K), min_size=1))
         want = digraph_is_acyclic(
-            subset, [(u, v) for (u, v) in g.edges if u in subset and v in subset])
+            subset, [(u, v) for (u, v) in edges if u in subset and v in subset])
         assert demand_graph.is_acyclic_subset(g, subset) == want
 
     @settings(max_examples=60, deadline=None)
     @given(random_demand_graphs(max_k=5))
-    def test_maximal_family_matches_brute_force(self, g):
+    def test_maximal_family_matches_brute_force(self, graph):
+        g, edges = graph
         nodes = range(1, g.K + 1)
         acyclic = [frozenset(s)
                    for r in range(1, g.K + 1)
                    for s in itertools.combinations(nodes, r)
-                   if digraph_is_acyclic(s, [(u, v) for (u, v) in g.edges
+                   if digraph_is_acyclic(s, [(u, v) for (u, v) in edges
                                              if u in s and v in s])]
         want = {s for s in acyclic if not any(s < o for o in acyclic)}
         assert set(demand_graph.maximal_acyclic_subsets(g)) == want
 
     def test_out_of_range_node_rejected(self):
-        g = demand_graph.DemandGraph(K=3, edges=frozenset())
+        g = demand_graph_from_edges(3, ())
         with pytest.raises(InvalidParameterError):
             demand_graph.is_acyclic_subset(g, {0, 1})
 
@@ -109,7 +161,7 @@ class TestDofUpperBoundLp:
         assert bound.value == F(3, 2)
 
     def test_edgeless_graph_is_unconstrained_beyond_singletons(self):
-        g = demand_graph.DemandGraph(K=3, edges=frozenset())
+        g = demand_graph_from_edges(3, ())
         assert demand_graph.dof_upper_bound_lp(g).value == F(1)
 
     def test_certificates_always_verify(self):
@@ -136,10 +188,11 @@ class TestDofUpperBoundLp:
 
     @settings(max_examples=40, deadline=None)
     @given(random_demand_graphs(max_k=5))
-    def test_removing_an_edge_never_increases_the_bound(self, g):
+    def test_removing_an_edge_never_increases_the_bound(self, graph):
+        g, edges = graph
         base = demand_graph.dof_upper_bound_lp(g).value
-        for edge in g.edges:
-            smaller = demand_graph.DemandGraph(K=g.K, edges=g.edges - {edge})
+        for edge in edges:
+            smaller = demand_graph_from_edges(g.K, edges - {edge})
             assert demand_graph.dof_upper_bound_lp(smaller).value <= base
 
 
@@ -220,9 +273,10 @@ class TestBestAssignmentUpperBound:
         bound = demand_graph.best_assignment_upper_bound(t)
         assert bound.value == demand_graph._enumerated_bound(t).value
         assert demand_graph.verify_certificate(bound, K)
-        g = demand_graph.build_demand_graph(t, bound.assignment)
+        carriers = [next(iter(ts)) for ts in bound.assignment.transmit_sets]
+        edges = demand_edges(t, carriers)
         for subset, _ in bound.certificate:
-            inside = [(u, v) for (u, v) in g.edges if u in subset and v in subset]
+            inside = [(u, v) for (u, v) in edges if u in subset and v in subset]
             assert digraph_is_acyclic(subset, inside), sorted(subset)
 
     @pytest.mark.parametrize("mode,K,L", [
@@ -279,8 +333,9 @@ class TestCertifiedClosedForm:
         assert bound.value == lp_value == F(2 * K, L + 2)
         carriers = [next(iter(ts)) for ts in bound.assignment.transmit_sets]
         assert tuple(t.tx_masks[c - 1] for c in carriers) == g.nonsource_masks
+        edges = demand_edges(t, carriers)
         for subset, _ in bound.certificate:
-            inside = [(u, v) for (u, v) in g.edges if u in subset and v in subset]
+            inside = [(u, v) for (u, v) in edges if u in subset and v in subset]
             assert digraph_is_acyclic(subset, inside), sorted(subset)
         windows = []
         for s in range(1, K + 1, L + 2):
@@ -301,7 +356,7 @@ class TestCertifiedClosedForm:
         # transmitter 1 also reaching receiver 5 breaks the 2-cycle between
         # tile-boundary messages 1 and 5; the windows stay acyclic
         t = topology.make_locally_connected(8, 2, topology.CYCLIC)
-        wider = topology.Topology(K=8, L=2, mode=topology.CYCLIC, edges=t.edges | {(5, 1)})
+        wider = _with_edge(t, 5, 1)
         with pytest.raises(RuntimeError, match="primal witness check failed"):
             demand_graph.best_assignment_upper_bound(wider)
 
@@ -310,7 +365,7 @@ class TestCertifiedClosedForm:
         # makes {2, 3, 4} acyclic, so weight 1/2 on every message is not
         # feasible; the arcs stay acyclic
         t = topology.make_locally_connected(5, 2, topology.CYCLIC)
-        wider = topology.Topology(K=5, L=2, mode=topology.CYCLIC, edges=t.edges | {(4, 1)})
+        wider = _with_edge(t, 4, 1)
         centred = demand_graph.best_assignment_upper_bound(t).assignment
         g = demand_graph.build_demand_graph(wider, centred)
         assert demand_graph.is_acyclic_subset(g, {2, 3, 4})

@@ -36,11 +36,15 @@ def sim_instances(draw, max_k=5, max_n=3):
 
 
 class TestSampleChannel:
-    def test_support_matches_topology(self):
-        t = topology.make_locally_connected(5, 1, topology.TRUNCATED)
+    @pytest.mark.parametrize("K,L,mode", [
+        (5, 1, topology.TRUNCATED), (8, 7, topology.CYCLIC), (9, 3, topology.CYCLIC),
+        (17, 2, topology.TRUNCATED)])
+    def test_support_matches_topology(self, K, L, mode):
+        # masks are unpacked byte-wise, so K straddles byte boundaries
+        t = topology.make_locally_connected(K, L, mode)
         c = linear_sim.sample_channel(t, 3, seed=0)
-        for i in range(1, 6):
-            for j in range(1, 6):
+        for i in range(1, K + 1):
+            for j in range(1, K + 1):
                 if t.connected(i, j):
                     assert np.all(c.h[i - 1, j - 1, :] != 0)
                 else:

@@ -90,8 +90,12 @@ class TestMakeLocallyConnected:
 
 class TestExplicitTopology:
     def test_keeps_given_edges(self):
-        t = topology.explicit_topology(3, [(1, 1), (2, 2), (3, 3), (1, 3)])
+        given_edges = [(1, 1), (2, 2), (3, 3), (1, 3)]
+        t = topology.explicit_topology(3, given_edges)
         assert t.connected(1, 3) and not t.connected(3, 1)
+        assert t.rx_masks == (0b101, 0b010, 0b100)
+        assert t.tx_masks == (0b001, 0b010, 0b101)
+        assert t.edges == frozenset(given_edges)
         assert t.mode == topology.EXPLICIT and t.L is None
 
     def test_missing_direct_link_rejected(self):
@@ -145,25 +149,12 @@ class TestChordality:
         t = topology.make_locally_connected(5, 4, topology.CYCLIC)
         assert topology.is_chordal_bipartite(t) is True
 
-    def test_cap_that_prunes_reports_inconclusive(self):
-        t = topology.make_locally_connected(8, 1, topology.CYCLIC)  # one 16-cycle
-        assert topology.is_chordal_bipartite(t, cycle_length_cap=10) is None
-        assert topology.is_chordal_bipartite(t) is False
-
-    def test_cap_large_enough_still_decides(self):
-        t = topology.make_locally_connected(3, 1, topology.CYCLIC)  # one 6-cycle
-        assert topology.is_chordal_bipartite(t, cycle_length_cap=6) is False
-
-    def test_cap_below_four_rejected(self):
-        t = topology.make_locally_connected(3, 1, topology.CYCLIC)
-        with pytest.raises(InvalidParameterError):
-            topology.is_chordal_bipartite(t, cycle_length_cap=3)
-
-    def test_size_limit_enforced(self):
+    def test_size_limit_enforced(self, monkeypatch):
         t = topology.make_locally_connected(17, 2, topology.TRUNCATED)
         with pytest.raises(ResourceLimitError):
             topology.is_chordal_bipartite(t)
-        assert topology.is_chordal_bipartite(t, k_limit=17) is True
+        monkeypatch.setattr(topology, "CHORDALITY_K_LIMIT", 17)
+        assert topology.is_chordal_bipartite(t) is True
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.data())
