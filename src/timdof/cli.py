@@ -90,15 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"timdof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=True, out=True):
+    def common(p, decimal=False):
         p.add_argument("--K", type=int, required=True, help="number of transmitter-receiver pairs")
         p.add_argument("--L", type=int, required=True, help="connectivity parameter")
-        if mode:
-            p.add_argument("--mode", choices=topology.GENERATED_MODES, default=topology.CYCLIC)
-        if out:
-            p.add_argument("--out", help=f"output path (relative paths resolve under ${OUTPUT_DIR_ENV})")
-            p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
-            p.add_argument("--decimal", action="store_true", help="append float columns for plotting")
+        p.add_argument("--mode", choices=topology.GENERATED_MODES, default=topology.CYCLIC)
+        p.add_argument("--out", help=f"output path (relative paths resolve under ${OUTPUT_DIR_ENV})")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
+        if decimal:
+            # only the scheme-result CSV row has a column to add
+            p.add_argument("--decimal", action="store_true",
+                           help="append a float per-user column to the CSV row")
 
     p = sub.add_parser("topology", help="emit a topology document, optionally with a chordality check")
     common(p)
@@ -106,14 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chordal", action="store_true", help="include the chordal-bipartite verdict")
 
     p = sub.add_parser("tdma-search", help="exact optimal TDMA over assignments and schedules")
-    common(p)
+    common(p, decimal=True)
     p.add_argument("--M", type=int, default=1, help="cooperation budget (result is budget-independent)")
 
     p = sub.add_parser("tdma-canonical", help="closed-form two-per-block TDMA pattern")
-    common(p)
+    common(p, decimal=True)
 
     p = sub.add_parser("demand-bound", help="exact LP outer bound over demand-graph acyclic subsets")
-    common(p)
+    common(p, decimal=True)
     p.add_argument("--assignment", type=_parse_int_list, dest="carriers", metavar="T1,T2,...",
                    help="fixed single-transmitter assignment; omit to maximize over assignments")
 

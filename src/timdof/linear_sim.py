@@ -4,11 +4,14 @@ Schemes fix per-message symbol counts and per-(transmitter, message)
 precoding matrices over n slots before any channel is drawn; channels are
 then sampled i.i.d. complex Gaussian on the topology's support.  Achieved
 DoF is evaluated by generic-rank decodability: the number of desired
-dimensions a receiver resolves beyond its interference.  The converse
-diagnostic stacks the channel blocks of a receiver set B, counts the
-interfering symbols s and the rank r of their processed-signal map, and
-tests whether the non-exclusive transmit signals can be rebuilt from B's
-processed signals, which is the linear step of the sum-DoF <= |B| argument.
+dimensions a receiver resolves beyond its interference.  A channel draw is
+turned into received maps a block of receivers at a time, visiting only
+the links each receiver hears, and each block's decodability counts come
+from batched ranks.  The converse diagnostic stacks the channel blocks of
+a receiver set B, counts the interfering symbols s and the rank r of their
+processed-signal map, and tests whether the non-exclusive transmit signals
+can be rebuilt from B's processed signals, which is the linear step of the
+sum-DoF <= |B| argument.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,17 +43,24 @@ COHERENCE_MODES = (TIME_VARYING, CONSTANT)
 RANK_REL_TOL = 1e-9
 SCHEDULE_LCM_LIMIT = 64
 RANDOM_SCHEME_N_LIMIT = 8
+# decodability counts hold the received maps of at most this many complex
+# entries at once, taking the receivers a block at a time
+RECEIVER_BLOCK_ENTRIES = 1 << 21
 
 
-def generic_rank(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Numerical rank with a relative singular-value cutoff."""
+def generic_rank(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int | np.ndarray:
+    """Numerical rank with a relative singular-value cutoff.
+
+    A stack of matrices (..., rows, cols) gets an array of ranks, one per
+    matrix, from one batched SVD; a single matrix gets an int.
+    """
     if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    top = sv[0]
-    if top <= 0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * top))
+        ranks = np.zeros(mat.shape[:-2], dtype=int)
+    else:
+        sv = np.linalg.svd(mat, compute_uv=False)
+        # an all-zero matrix has top singular value 0 and counts nothing
+        ranks = np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
+    return int(ranks) if mat.ndim == 2 else ranks
 
 
 @dataclass(eq=False)
@@ -59,7 +70,8 @@ class LinearScheme:
     precoders maps (transmitter j, message i) to an n x m_i complex matrix
     and may only contain keys with j in the message's transmit set; missing
     keys mean the zero matrix.  Precoders never see channel values: schemes
-    are fully built before realizations are sampled.
+    are fully built before realizations are sampled, and are not changed
+    afterwards.
     """
 
     n: int
@@ -95,6 +107,34 @@ class LinearScheme:
         if got is None:
             return np.zeros((self.n, self.symbol_counts[i - 1]), dtype=complex)
         return got
+
+    @cached_property
+    def column_messages(self) -> np.ndarray:
+        """The message (1-based) of each of the M = sum of m_i symbol columns."""
+        return np.repeat(np.arange(1, self.K + 1), self.symbol_counts)
+
+    @cached_property
+    def transmit_runs(self) -> tuple[tuple[tuple[int, int, np.ndarray], ...], ...]:
+        """Per transmitter, its map from the symbols it sends, in column runs.
+
+        The M symbol columns are in message order.  Entry j-1 lists
+        (lo, hi, n x (hi - lo) map) for each run of consecutive columns
+        that transmitter j sends; a message it does not carry, or carries
+        with a missing precoder, sends nothing.
+        """
+        start = np.concatenate(([0], np.cumsum(self.symbol_counts))).tolist()
+        runs = [[] for _ in range(self.K)]
+        for (j, i), mat in sorted(self.precoders.items(), key=lambda item: item[0]):
+            lo, hi = start[i - 1], start[i]
+            if lo == hi:
+                continue
+            sent = runs[j - 1]
+            if sent and sent[-1][1] == lo:
+                sent[-1][1] = hi
+                sent[-1][2].append(mat)
+            else:
+                sent.append([lo, hi, [mat]])
+        return tuple(tuple((lo, hi, np.hstack(mats)) for lo, hi, mats in sent) for sent in runs)
 
 
 @dataclass(eq=False)
@@ -167,14 +207,53 @@ def _check_consistency(s: LinearScheme, c: ChannelRealization) -> None:
             f"scheme is ({s.K} users, {s.n} slots), realization is ({c.K}, {c.n})")
 
 
-def _arrival(s: LinearScheme, c: ChannelRealization, i: int, k: int) -> np.ndarray:
-    """Contribution of message k at receiver i: sum over carriers of diag(h) V."""
-    block = np.zeros((s.n, s.symbol_counts[k - 1]), dtype=complex)
-    for j in sorted(s.assignment.transmit_sets[k - 1]):
-        mat = s.precoders.get((j, k))
-        if mat is not None:
-            block = block + c.h[i - 1, j - 1, :, None] * mat
-    return block
+def _check_receiver(s: LinearScheme, i: int) -> None:
+    if not 1 <= i <= s.K:
+        raise InvalidParameterError(f"receiver {i!r} outside 1..{s.K}")
+
+
+def _received_maps(s: LinearScheme, c: ChannelRealization, rows: np.ndarray) -> np.ndarray:
+    """The maps from all M symbols to the n slots of the receivers at 0-based rows.
+
+    Entry r is the sum over transmitters j of diag(h_{rows[r], j}) times j's
+    map, placed in j's symbol columns, so the M columns are in message
+    order.  Only the links a row hears are visited.
+    """
+    h = c.h[rows]
+    heard = h.any(axis=2)
+    G = np.zeros((len(rows), s.n, len(s.column_messages)), dtype=complex)
+    for j in np.flatnonzero(heard.any(axis=0)):
+        hit = np.flatnonzero(heard[:, j])
+        gain = h[hit, j, :, None]
+        for lo, hi, mat in s.transmit_runs[j]:
+            G[hit, :, lo:hi] += gain * mat
+    return G
+
+
+def _decodable_counts(s: LinearScheme, G: np.ndarray, rows: np.ndarray,
+                      rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+    """Decodable symbols at the receivers at 0-based rows, from their maps G.
+
+    rank of receiver i's whole map minus the rank of its interference,
+    which is the same map with message i's columns zeroed: zero columns do
+    not change a rank, so each term is one batched SVD over the rows.
+    """
+    own = s.column_messages == rows[:, None] + 1
+    return generic_rank(G, rel_tol) - generic_rank(np.where(own[:, None, :], 0, G), rel_tol)
+
+
+def _receiver_blocks(s: LinearScheme, count: int) -> list[slice]:
+    """Consecutive slices of count receivers, each with received maps of at
+    most RECEIVER_BLOCK_ENTRIES entries."""
+    size = max(1, RECEIVER_BLOCK_ENTRIES // (s.n * max(1, len(s.column_messages))))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _decodable_total(s: LinearScheme, c: ChannelRealization) -> int:
+    """Decodable symbols summed over all receivers, a block of receivers at a time."""
+    receivers = np.arange(s.K)
+    return sum(int(_decodable_counts(s, _received_maps(s, c, rows), rows).sum())
+               for rows in (receivers[part] for part in _receiver_blocks(s, s.K)))
 
 
 def received_map(s: LinearScheme, c: ChannelRealization,
@@ -185,12 +264,10 @@ def received_map(s: LinearScheme, c: ChannelRealization,
     interference blocks ordered by message index.
     """
     _check_consistency(s, c)
-    if not 1 <= i <= s.K:
-        raise InvalidParameterError(f"receiver {i!r} outside 1..{s.K}")
-    desired = _arrival(s, c, i, i)
-    others = [_arrival(s, c, i, k) for k in range(1, s.K + 1) if k != i]
-    interference = np.hstack(others) if others else np.zeros((s.n, 0), dtype=complex)
-    return desired, interference
+    _check_receiver(s, i)
+    (row,) = _received_maps(s, c, np.array([i - 1]))
+    own = s.column_messages == i
+    return row[:, own], row[:, ~own]
 
 
 def decodable_symbols(s: LinearScheme, c: ChannelRealization, i: int,
@@ -200,9 +277,10 @@ def decodable_symbols(s: LinearScheme, c: ChannelRealization, i: int,
     rank([desired | interference]) - rank(interference), computed with the
     declared relative singular-value tolerance.
     """
-    desired, interference = received_map(s, c, i)
-    joint = np.hstack([desired, interference])
-    return generic_rank(joint, rel_tol) - generic_rank(interference, rel_tol)
+    _check_consistency(s, c)
+    _check_receiver(s, i)
+    rows = np.array([i - 1])
+    return int(_decodable_counts(s, _received_maps(s, c, rows), rows, rel_tol)[0])
 
 
 def aggregate_trials(totals) -> tuple[int, Fraction, bool]:
@@ -246,16 +324,17 @@ def channel_trials(s: LinearScheme, t: Topology, seeds, coherence: str = TIME_VA
                    receivers=None, totals: bool = True) -> Iterator[TrialRecord]:
     """Draw one channel per seed and evaluate the scheme on it, lazily.
 
-    total sums decodable_symbols over all receivers unless totals is false;
-    report is lemma1_check on the receiver set, computed only when one is
-    given.  Each draw is sampled once, whatever is asked of it.
+    total sums the decodable symbols of all receivers unless totals is
+    false; report is the lemma1_check of the receiver set, computed only
+    when one is given.  Each draw is sampled once, whatever is asked of it.
     """
     if t.K != s.K:
         raise InvalidInputError(f"scheme is over {s.K} users, topology has {t.K}")
+    rows = None if receivers is None else _validated_receiver_set(receivers, s.K)
     for seed in seeds:
         c = sample_channel(t, s.n, coherence, seed)
-        total = sum(decodable_symbols(s, c, i) for i in range(1, s.K + 1)) if totals else None
-        report = None if receivers is None else lemma1_check(s, c, receivers)
+        total = _decodable_total(s, c) if totals else None
+        report = None if rows is None else _reconstruction(s, c, rows)
         yield TrialRecord(total, report)
 
 
@@ -341,17 +420,6 @@ def _validated_receiver_set(B, K: int) -> tuple[int, ...]:
     return tuple(sorted(rows))
 
 
-def _transmit_map_outside(s: LinearScheme, j: int, outside: tuple[int, ...],
-                          s_count: int, col_of: dict[int, int]) -> np.ndarray:
-    """Transmitter j's signal as a map from the outside-B symbols (n x s)."""
-    out = np.zeros((s.n, s_count), dtype=complex)
-    for k in outside:
-        mat = s.precoders.get((j, k))
-        if mat is not None:
-            out[:, col_of[k]:col_of[k] + s.symbol_counts[k - 1]] += mat
-    return out
-
-
 def lemma1_check(s: LinearScheme, c: ChannelRealization, B) -> ReconstructionReport:
     """Reconstruction converse diagnostic for the receiver set B.
 
@@ -365,35 +433,35 @@ def lemma1_check(s: LinearScheme, c: ChannelRealization, B) -> ReconstructionRep
     non-exclusive.
     """
     _check_consistency(s, c)
-    rows = _validated_receiver_set(B, s.K)
+    return _reconstruction(s, c, _validated_receiver_set(B, s.K))
+
+
+def _reconstruction(s: LinearScheme, c: ChannelRealization,
+                    rows: tuple[int, ...]) -> ReconstructionReport:
+    """lemma1_check of the sorted receiver set rows."""
     inside = set(rows)
-    outside = tuple(k for k in range(1, s.K + 1) if k not in inside)
-    effective = [k for k in outside if s.symbol_counts[k - 1] > 0]
-    interfering = sorted(set().union(*(s.assignment.transmit_sets[k - 1] for k in effective))
-                         if effective else set())
+    effective = [k for k in range(1, s.K + 1) if k not in inside and s.symbol_counts[k - 1] > 0]
+    interfering = sorted(set().union(*(s.assignment.transmit_sets[k - 1] for k in effective)))
     exclusive = [j for j in range(1, s.K + 1) if j not in set(interfering)]
 
-    col_of, s_count = {}, 0
-    for k in outside:
-        col_of[k] = s_count
-        s_count += s.symbol_counts[k - 1]
+    cols = ~np.isin(s.column_messages, rows)
+    s_count = int(np.count_nonzero(cols))
 
-    processed = np.zeros((s.n * len(rows), s_count), dtype=complex)
-    for bi, i in enumerate(rows):
-        for k in outside:
-            processed[bi * s.n:(bi + 1) * s.n, col_of[k]:col_of[k] + s.symbol_counts[k - 1]] = \
-                _arrival(s, c, i, k)
-    r = generic_rank(processed)
-
-    known_rows = [processed]
-    for j in exclusive:
-        known_rows.append(_transmit_map_outside(s, j, outside, s_count, col_of))
-    known = np.vstack(known_rows)
-    augmented_rows = [known]
-    for j in interfering:
-        augmented_rows.append(_transmit_map_outside(s, j, outside, s_count, col_of))
-    augmented = np.vstack(augmented_rows)
-    reconstructable = generic_rank(augmented) == generic_rank(known)
+    # B's processed maps, then the interfering transmitters' maps, on the outside columns
+    augmented = np.zeros((len(rows) + len(interfering), s.n, s_count), dtype=complex)
+    receivers = np.asarray(rows, dtype=int) - 1
+    for part in _receiver_blocks(s, len(rows)):
+        augmented[part] = _received_maps(s, c, receivers[part])[:, :, cols]
+    outside_at = np.cumsum(cols) - 1
+    for sent, j in zip(augmented[len(rows):], interfering):
+        for lo, hi, mat in s.transmit_runs[j - 1]:
+            keep = cols[lo:hi]
+            sent[:, outside_at[lo:hi][keep]] = mat[:, keep]
+    augmented = augmented.reshape(len(augmented) * s.n, s_count)
+    r = generic_rank(augmented[:len(rows) * s.n])
+    # an exclusive transmitter carries no outside symbol, so its map on these
+    # columns is zero: the known rows span what the processed rows span
+    reconstructable = generic_rank(augmented) == r
 
     return ReconstructionReport(
         B=rows,

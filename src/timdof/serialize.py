@@ -9,7 +9,10 @@ from_dict counterpart.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,7 +52,7 @@ def _expect_schema(doc: dict, schema: str) -> None:
 
 
 def _complex_matrix_out(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return [list(map(list, zip(re, im))) for re, im in zip(mat.real.tolist(), mat.imag.tolist())]
 
 
 def _complex_matrix_in(rows, shape) -> np.ndarray:
@@ -229,8 +232,108 @@ def report_from_dict(doc: dict) -> ReconstructionReport:
 
 
 def dumps(doc: dict) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, two-space indent, trailing newline.
+
+    The text equals json.dumps(doc, sort_keys=True, indent=2) + "\n", and
+    unsupported values raise the same exceptions, but a list of plain
+    numbers, or of lists of them such as a row of complex [re, im] pairs,
+    is rendered in one join instead of one encoder step per number.
+    """
+    parts: list[str] = []
+    _encode(doc, "\n", parts, set())
+    parts.append("\n")
+    return "".join(parts)
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+_LIST_TYPE = frozenset((list,))
+
+
+def _scalar_text(o) -> str | None:
+    """json's text of a str, None, bool, int or float; None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _number_array(o, inner: str) -> str | None:
+    """The items of o joined, when they are plain numbers or non-empty lists
+    of plain numbers; None for anything else.
+
+    Plain numbers are exact ints and floats, whose repr is json's text, so a
+    row of complex [re, im] pairs is rendered in one join.
+    """
+    sep = "," + inner
+    if _PLAIN_NUMBERS.issuperset(map(type, o)):
+        return sep.join(map(repr, o))
+    if not (_LIST_TYPE.issuperset(map(type, o)) and all(o)
+            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(o)))):
+        return None
+    deeper = inner + "  "
+    row_sep = "," + deeper
+    return sep.join(["[" + deeper + row_sep.join(map(repr, row)) + inner + "]" for row in o])
+
+
+def _encode(o, newline: str, parts: list, active: set) -> None:
+    """Append the JSON text of o, whose enclosing lines are indented as in `newline`.
+
+    `active` holds the ids of the containers being encoded, to report cycles.
+    """
+    text = _scalar_text(o)
+    if text is not None:
+        parts.append(text)
+        return
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not o:
+        parts.append("{}" if is_dict else "[]")
+        return
+    inner = newline + "  "
+    if not is_dict:
+        text = _number_array(o, inner)
+        # non-finite floats, the only numbers whose repr holds an "n", are
+        # not written as json writes them, so they take the general route
+        if text is not None and "n" not in text:
+            parts += ("[" + inner, text, newline + "]")
+            return
+    if id(o) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(o))
+    sep = ("{" if is_dict else "[") + inner
+    if is_dict:
+        for key, value in sorted(o.items()):
+            # json writes a non-string key as the string of its value text
+            key_text = _scalar_text(key)
+            if key_text is None:
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            if not isinstance(key, str):
+                key_text = '"' + key_text + '"'
+            parts.append(sep + key_text + ": ")
+            _encode(value, inner, parts, active)
+            sep = "," + inner
+    else:
+        for value in o:
+            parts.append(sep)
+            _encode(value, inner, parts, active)
+            sep = "," + inner
+    parts.append(newline + ("}" if is_dict else "]"))
+    active.discard(id(o))
 
 
 def loads(text: str) -> dict:

@@ -5,8 +5,9 @@ LP values come from basic-point enumeration instead of simplex, acyclicity
 from a three-color DFS instead of source peeling, demand edges from
 pair-by-pair connectivity queries instead of carrier coverage masks,
 chordality from brute subset enumeration, received signals from literal
-scalar loops, and the best-assignment bound from a plain product of
-assignments instead of rotation orbits.
+scalar loops (decodability and the reconstruction report are ranked on
+them one receiver and one block at a time), and the best-assignment bound
+from a plain product of assignments instead of rotation orbits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from timdof import demand_graph, schemes
+from timdof import demand_graph, linear_sim, schemes
 
 
 def solve_exact(rows, rhs):
@@ -153,6 +154,55 @@ def received_maps_literal(scheme, c, receiver):
     others = [arrival(k) for k in range(1, K + 1) if k != i]
     interference = np.hstack(others) if others else np.zeros((n, 0), dtype=complex)
     return desired, interference
+
+
+def decodable_total_literal(scheme, c):
+    """Sum over receivers of rank([desired | interference]) - rank(interference),
+    one receiver at a time on the literal maps."""
+    total = 0
+    for i in range(1, scheme.K + 1):
+        desired, interference = received_maps_literal(scheme, c, i)
+        total += (linear_sim.generic_rank(np.hstack([desired, interference]))
+                  - linear_sim.generic_rank(interference))
+    return total
+
+
+def reconstruction_report_literal(scheme, c, B):
+    """The lemma1 report of receiver set B, assembled block by block from the
+    literal received maps and the precoders."""
+    K, n, counts = scheme.K, scheme.n, scheme.symbol_counts
+    rows = tuple(sorted(B))
+    outside = [k for k in range(1, K + 1) if k not in rows]
+    interfering = sorted({j for k in outside if counts[k - 1]
+                          for j in scheme.assignment.transmit_sets[k - 1]})
+    exclusive = [j for j in range(1, K + 1) if j not in interfering]
+
+    def outside_columns(blocks):
+        picked = [blocks[k] for k in outside]
+        return np.hstack(picked) if picked else np.zeros((n, 0), dtype=complex)
+
+    def receiver_blocks(i):
+        desired, interference = received_maps_literal(scheme, c, i)
+        blocks, col = {i: desired}, 0
+        for k in range(1, K + 1):
+            if k != i:
+                blocks[k] = interference[:, col:col + counts[k - 1]]
+                col += counts[k - 1]
+        return blocks
+
+    def transmit_map(j):
+        return outside_columns({k: scheme.precoder(j, k) for k in range(1, K + 1)})
+
+    s = sum(counts[k - 1] for k in outside)
+    processed = np.vstack([np.zeros((0, s), dtype=complex)]
+                          + [outside_columns(receiver_blocks(i)) for i in rows])
+    known = np.vstack([processed] + [transmit_map(j) for j in exclusive])
+    augmented = np.vstack([known] + [transmit_map(j) for j in interfering])
+    r = linear_sim.generic_rank(processed)
+    return linear_sim.ReconstructionReport(
+        B=rows, exclusive_transmitters=tuple(exclusive),
+        interfering_transmitters=tuple(interfering), s=s, r=r, deficiency=s - r,
+        reconstructable=linear_sim.generic_rank(augmented) == linear_sim.generic_rank(known))
 
 
 def schedulable_pairwise(t, s):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -113,6 +114,18 @@ class TestExitCodes:
         code, out, _ = run_cli("sweep --L 1 --format json".split(), capsys)
         assert code == cli.EXIT_USAGE
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "topology --K 3 --L 1",
+        "lin-eval --K 4 --L 1 --n 2 --seed 1",
+        "lemma1 --K 4 --L 1 --n 2 --seed 1",
+        "converse-sample --K 4 --L 2 --trials 1 --seed 1",
+    ])
+    def test_decimal_is_a_usage_error_where_nothing_has_a_float_column(self, argv, capsys):
+        code, out, err = run_cli(argv.split() + ["--decimal"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --decimal" in err
 
     def test_converse_sample_rejects_json(self, capsys):
         code, out, err = run_cli(
@@ -370,6 +383,51 @@ GOLDEN_STDOUT = {
 
 TDMA_SEARCH_JSON_SHA256 = "52d5d10894955c6a9c36e19df9f3d5f7af6b734e86c27e9fe676e27d7694e019"
 
+# One SHA-256 over the argv, exit code, stdout and stderr of every command
+# that sampled_simulation_commands draws, pinned before the received maps
+# were batched per channel draw and before serialize.dumps stopped calling
+# the json encoder.
+SAMPLED_SIMULATION_SHA256 = "99b44e8e597566808a5678b57fdada04c4e43c01d99bc9444ef430fc1a7d9983"
+
+
+def sampled_simulation_commands():
+    """100 randomized simulation commands drawn from a fixed seed.
+
+    Every combination of the categorical flags appears; K, L, n, mode and
+    the seeds are drawn.
+    """
+    rng = random.Random(20261019)
+
+    def shape():
+        K, L = rng.choice((6, 8, 16)), rng.choice((1, 2))
+        return ["--K", str(K), "--L", str(L), "--mode", rng.choice(("cyclic", "truncated")),
+                "--seed", str(rng.randrange(10 ** 4))], K
+
+    commands = []
+    for fmt in ("json", "csv"):
+        for cooperation in ("full", "single"):
+            for density in ([], ["--density", "0.5"]):
+                for coherence in ([], ["--coherence", "constant"]):
+                    for _ in range(3):
+                        argv, _ = shape()
+                        commands.append(["lin-eval", *argv, "--n", str(rng.randint(1, 4)),
+                                         "--trials", "2", "--cooperation", cooperation,
+                                         *density, *coherence, "--format", fmt])
+        for cooperation in ("full", "single"):
+            for default_b in (True, False):
+                for _ in range(4):
+                    argv, K = shape()
+                    B = [] if default_b else ["--B", ",".join(map(str, sorted(
+                        rng.sample(range(1, K + 1), rng.randint(1, K // 2)))))]
+                    commands.append(["lemma1", *argv, "--n", str(rng.randint(1, 4)),
+                                     "--cooperation", cooperation, *B, "--format", fmt])
+    for _ in range(20):
+        argv, _ = shape()
+        commands.append(["converse-sample", *argv, "--density", "0.6",
+                         "--trials", str(rng.randint(1, 3)), "--realizations", "2",
+                         "--n-max", str(rng.randint(1, 4))])
+    return commands
+
 
 def assert_golden(out, expected):
     if expected.startswith("sha256:"):
@@ -397,6 +455,13 @@ class TestGoldenArtifacts:
                     assert code == cli.EXIT_OK
                     digest.update(out.encode())
         assert digest.hexdigest() == TDMA_SEARCH_JSON_SHA256
+
+    def test_sampled_simulation_commands(self, capsys):
+        digest = hashlib.sha256()
+        for argv in sampled_simulation_commands():
+            code, out, err = run_cli(argv, capsys)
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+        assert digest.hexdigest() == SAMPLED_SIMULATION_SHA256
 
     def test_converse_sample_density_one_is_the_default(self, capsys):
         args = "converse-sample --K 8 --L 2 --trials 3 --realizations 2 --seed 5"

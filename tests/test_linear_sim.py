@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from timdof import linear_sim, schemes, topology
 from timdof.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 
-from oracles import received_maps_literal
+from oracles import decodable_total_literal, received_maps_literal, reconstruction_report_literal
 
 F = Fraction
 
@@ -33,6 +33,50 @@ def sim_instances(draw, max_k=5, max_n=3):
     s = linear_sim.random_scheme(t, a, n, density, seed=seed)
     c = linear_sim.sample_channel(t, n, seed=seed + 1)
     return t, s, c
+
+
+@st.composite
+def oracle_instances(draw, max_k=6, max_n=3):
+    """Schemes of every kind the simulation layer meets, on generated or
+    explicit topologies, with a receiver set and a channel coherence."""
+    K = draw(st.integers(1, max_k))
+    if draw(st.booleans()):
+        t = topology.make_locally_connected(
+            K, draw(st.integers(0, K - 1)), draw(st.sampled_from(topology.GENERATED_MODES)))
+    else:
+        pairs = st.tuples(st.integers(1, K), st.integers(1, K))
+        extra = draw(st.sets(pairs, max_size=2 * K))
+        t = topology.explicit_topology(K, {(i, i) for i in range(1, K + 1)} | extra)
+    carriers = [draw(st.sampled_from(topology.transmitters_heard_by(t, i)))
+                for i in range(1, K + 1)]
+    singleton = schemes.singleton_assignment(carriers)
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 10 ** 6))
+    kind = draw(st.sampled_from(("full", "singleton", "schedule", "counts")))
+    if kind == "schedule":
+        denom = draw(st.integers(1, 3))
+        served = draw(st.lists(st.sampled_from(schemes.maximal_servable_sets(t, singleton)),
+                               min_size=1, max_size=denom, unique=True))
+        sched = schemes.TdmaSchedule(K=K, entries=tuple((x, F(1, denom)) for x in served))
+        s = linear_sim.scheme_from_schedule(t, singleton, sched)
+    elif kind == "counts":
+        # zero-symbol messages, and carriers that send nothing (no precoder)
+        a = draw(st.sampled_from([singleton, linear_sim.full_cooperation_assignment(K)]))
+        counts = tuple(draw(st.integers(0, n)) for _ in range(K))
+        rng = np.random.default_rng(seed)
+        precoders = {}
+        for i in range(1, K + 1):
+            for j in sorted(a.transmit_sets[i - 1]):
+                if draw(st.booleans()):
+                    shape = (n, counts[i - 1])
+                    precoders[(j, i)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = linear_sim.LinearScheme(n=n, assignment=a, symbol_counts=counts, precoders=precoders)
+    else:
+        a = linear_sim.full_cooperation_assignment(K) if kind == "full" else singleton
+        s = linear_sim.random_scheme(t, a, n, draw(st.sampled_from([0.3, 0.7, 1.0])), seed=seed)
+    coherence = draw(st.sampled_from(linear_sim.COHERENCE_MODES))
+    B = tuple(sorted(draw(st.sets(st.integers(1, K)))))
+    return t, s, coherence, B, seed
 
 
 class TestSampleChannel:
@@ -229,11 +273,51 @@ class TestChannelTrials:
         assert totals_only.report is None and totals_only.total is not None
 
         def unexpected(*args):
-            raise AssertionError("decodable_symbols called without totals")
+            raise AssertionError("decodability counted without totals")
 
-        monkeypatch.setattr(linear_sim, "decodable_symbols", unexpected)
+        # the batched counts are the only route to a total
+        monkeypatch.setattr(linear_sim, "_decodable_counts", unexpected)
         (report_only,) = linear_sim.channel_trials(s, t, [5], receivers=(2, 4), totals=False)
         assert report_only.total is None and report_only.report.B == (2, 4)
+
+
+class TestBatchedAgainstLiteral:
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_instances())
+    def test_totals_and_reports_equal_the_per_receiver_oracle(self, inst):
+        t, s, coherence, B, seed = inst
+        seeds = [seed + 1, seed + 2]
+        records = list(linear_sim.channel_trials(s, t, seeds, coherence, B))
+        for draw_seed, record in zip(seeds, records):
+            c = linear_sim.sample_channel(t, s.n, coherence, draw_seed)
+            assert record.total == decodable_total_literal(s, c)
+            want = reconstruction_report_literal(s, c, B)
+            assert record.report == want
+            assert linear_sim.lemma1_check(s, c, B) == want
+
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 5])
+    def test_receiver_blocks_bound_the_maps_held_at_once(self, monkeypatch, rows_per_block):
+        K, n, B = 12, 2, (1, 2, 5, 9)
+        t = topology.make_locally_connected(K, 2, topology.CYCLIC)
+        single = schemes.singleton_assignment(range(1, K + 1), budget=1)
+        s = linear_sim.random_scheme(t, single, n, 1.0, seed=4)
+        M = sum(s.symbol_counts)
+        monkeypatch.setattr(linear_sim, "RECEIVER_BLOCK_ENTRIES", rows_per_block * n * M)
+        held = []
+        maps = linear_sim._received_maps
+
+        def counted(s, c, rows):
+            held.append(len(rows))
+            return maps(s, c, rows)
+
+        monkeypatch.setattr(linear_sim, "_received_maps", counted)
+        (record,) = linear_sim.channel_trials(s, t, [5], receivers=B)
+        c = linear_sim.sample_channel(t, n, seed=5)
+        assert record.total == decodable_total_literal(s, c)
+        assert record.report == reconstruction_report_literal(s, c, B)
+        assert max(held) == rows_per_block
+        assert sum(held) == K + len(B)
 
 
 class TestSchemeFromSchedule:

@@ -1,5 +1,7 @@
 """Round trips and formatting rules for every serialized document type."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,26 @@ from timdof import demand_graph, linear_sim, schemes, serialize, topology
 from timdof.errors import InvalidInputError
 
 F = Fraction
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]
+EDGE_INTS = [2 ** 63, -(2 ** 64), 10 ** 100]
+
+numbers = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                    st.integers(), st.sampled_from(EDGE_INTS))
+# nested lists of numbers, such as rows of [re, im] pairs, and the other leaves
+number_arrays = st.recursive(numbers, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+leaves = st.one_of(st.none(), st.booleans(), numbers, st.text(), number_arrays)
+json_like = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=3),
+    st.dictionaries(st.floats(allow_nan=False), inner, max_size=3),
+), max_leaves=30)
+
+
+def json_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestFractionText:
@@ -120,6 +142,45 @@ class TestDumps:
         text = serialize.dumps({"b": 1, "a": 2})
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_like)
+    def test_equals_the_json_module(self, doc):
+        assert serialize.dumps(doc) == json_text(doc)
+
+    def test_strings_and_edge_numbers(self):
+        doc = {"\u00e9\u4e2d\U0001f600": ["\x00\x1f\t\"\\", "caf\u00e9"],
+               "floats": EDGE_FLOATS, "ints": EDGE_INTS, "pairs": [[0.5, -0.0], [1e16, 5e-324]],
+               "empty": [[], {}, ()], "tuple": (1, (2.5, 3.0))}
+        assert serialize.dumps(doc) == json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": {1, 2}}, {"a": 1j}, {"a": np.float32(1)}, {"a": [np.int64(1)]},
+        {(1, 2): 3}, {1: 2, "a": 3}, {"a": [1.0, b"x"]}],
+        ids=["set", "complex", "float32", "int64", "tuple-key", "mixed-keys", "bytes"])
+    def test_unsupported_values_raise_what_json_raises(self, doc):
+        with pytest.raises(Exception) as want:
+            json_text(doc)
+        with pytest.raises(want.type):
+            serialize.dumps(doc)
+
+    def test_cycles_raise_what_json_raises(self):
+        loop = []
+        loop.append([loop])
+        for doc in (loop, {"a": [[1.0], loop]}):
+            with pytest.raises(ValueError, match="Circular reference"):
+                json_text(doc)
+            with pytest.raises(ValueError, match="Circular reference"):
+                serialize.dumps(doc)
+
+    def test_scheme_document_is_plain_and_rendered_as_json_renders_it(self):
+        t = topology.make_locally_connected(6, 2, topology.CYCLIC)
+        s = linear_sim.random_scheme(t, linear_sim.full_cooperation_assignment(6), 3, 0.7, seed=4)
+        doc = serialize.scheme_to_dict(s)
+        matrix = doc["precoders"][0]["matrix"]
+        assert type(matrix) is list and type(matrix[0][0]) is list
+        assert {type(x) for row in matrix for pair in row for x in pair} == {float}
+        assert serialize.dumps(doc) == json_text(doc)
 
     def test_loads_inverts_dumps(self):
         doc = serialize.topology_to_dict(topology.make_locally_connected(3, 1, topology.CYCLIC))
