@@ -414,6 +414,8 @@ _HANDLERS = {
 def run(config: ExperimentConfig) -> int:
     """Dispatch a parsed config; returns the process exit code."""
     try:
+        if config.seed is not None and config.seed < 0:
+            raise InvalidParameterError(f"--seed must be a non-negative integer, got {config.seed}")
         return _HANDLERS[config.command](config)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

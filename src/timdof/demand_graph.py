@@ -149,15 +149,16 @@ def maximal_acyclic_subsets(g: DemandGraph) -> tuple[frozenset[int], ...]:
     return tuple(sorted(as_sets, key=sorted))
 
 
-def dof_upper_bound_lp(g: DemandGraph, k_limit: int = DEMAND_LP_K_LIMIT) -> DofBound:
+def dof_upper_bound_lp(g: DemandGraph) -> DofBound:
     """Exact outer bound: max sum d_i s.t. sum over each maximal acyclic subset <= 1.
 
     Solved in exact rational arithmetic; the returned certificate is the
     optimal dual, one non-negative weight per binding subset.
+    DEMAND_LP_K_LIMIT is read at call time.
     """
-    if g.K > k_limit:
+    if g.K > DEMAND_LP_K_LIMIT:
         raise ResourceLimitError(
-            f"demand LP limited to K <= {k_limit}, got K={g.K}", limit=k_limit)
+            f"demand LP limited to K <= {DEMAND_LP_K_LIMIT}, got K={g.K}", limit=DEMAND_LP_K_LIMIT)
     subsets = [s for s in maximal_acyclic_subsets(g) if s]
     if not subsets:
         raise InvalidParameterError("demand graph admits no nonempty acyclic subset")
@@ -340,7 +341,7 @@ def _enumerated_bound(t: Topology) -> DofBound:
     best_encoding = None
     for carriers in _enumerate_assignments(t):
         a = singleton_assignment(carriers, budget=1)
-        bound = dof_upper_bound_lp(build_demand_graph(t, a), k_limit=DEMAND_LP_K_LIMIT)
+        bound = dof_upper_bound_lp(build_demand_graph(t, a))
         if t.mode == CYCLIC:
             encoding = min(_rotate_carriers(carriers, r, t.K) for r in range(t.K))
         else:
@@ -349,7 +350,7 @@ def _enumerated_bound(t: Topology) -> DofBound:
                 bound.value == best_value and encoding < best_encoding):
             best_value, best_encoding = bound.value, encoding
     final = singleton_assignment(best_encoding, budget=1)
-    final_bound = dof_upper_bound_lp(build_demand_graph(t, final), k_limit=DEMAND_LP_K_LIMIT)
+    final_bound = dof_upper_bound_lp(build_demand_graph(t, final))
     if final_bound.value != best_value:
         raise RuntimeError("rotation symmetry violated")
     return final_bound

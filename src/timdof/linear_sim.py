@@ -48,8 +48,8 @@ RANDOM_SCHEME_N_LIMIT = 8
 RECEIVER_BLOCK_ENTRIES = 1 << 21
 
 
-def generic_rank(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int | np.ndarray:
-    """Numerical rank with a relative singular-value cutoff.
+def generic_rank(mat: np.ndarray) -> int | np.ndarray:
+    """Numerical rank with the relative singular-value cutoff RANK_REL_TOL.
 
     A stack of matrices (..., rows, cols) gets an array of ranks, one per
     matrix, from one batched SVD; a single matrix gets an int.
@@ -59,7 +59,7 @@ def generic_rank(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int | np.nda
     else:
         sv = np.linalg.svd(mat, compute_uv=False)
         # an all-zero matrix has top singular value 0 and counts nothing
-        ranks = np.count_nonzero(sv > rel_tol * sv[..., :1], axis=-1)
+        ranks = np.count_nonzero(sv > RANK_REL_TOL * sv[..., :1], axis=-1)
     return int(ranks) if mat.ndim == 2 else ranks
 
 
@@ -230,8 +230,7 @@ def _received_maps(s: LinearScheme, c: ChannelRealization, rows: np.ndarray) -> 
     return G
 
 
-def _decodable_counts(s: LinearScheme, G: np.ndarray, rows: np.ndarray,
-                      rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+def _decodable_counts(s: LinearScheme, G: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Decodable symbols at the receivers at 0-based rows, from their maps G.
 
     rank of receiver i's whole map minus the rank of its interference,
@@ -239,7 +238,7 @@ def _decodable_counts(s: LinearScheme, G: np.ndarray, rows: np.ndarray,
     not change a rank, so each term is one batched SVD over the rows.
     """
     own = s.column_messages == rows[:, None] + 1
-    return generic_rank(G, rel_tol) - generic_rank(np.where(own[:, None, :], 0, G), rel_tol)
+    return generic_rank(G) - generic_rank(np.where(own[:, None, :], 0, G))
 
 
 def _receiver_blocks(s: LinearScheme, count: int) -> list[slice]:
@@ -270,17 +269,16 @@ def received_map(s: LinearScheme, c: ChannelRealization,
     return row[:, own], row[:, ~own]
 
 
-def decodable_symbols(s: LinearScheme, c: ChannelRealization, i: int,
-                      rel_tol: float = RANK_REL_TOL) -> int:
+def decodable_symbols(s: LinearScheme, c: ChannelRealization, i: int) -> int:
     """Desired dimensions resolvable beyond interference at receiver i.
 
     rank([desired | interference]) - rank(interference), computed with the
-    declared relative singular-value tolerance.
+    relative singular-value tolerance RANK_REL_TOL.
     """
     _check_consistency(s, c)
     _check_receiver(s, i)
     rows = np.array([i - 1])
-    return int(_decodable_counts(s, _received_maps(s, c, rows), rows, rel_tol)[0])
+    return int(_decodable_counts(s, _received_maps(s, c, rows), rows)[0])
 
 
 def aggregate_trials(totals) -> tuple[int, Fraction, bool]:
@@ -349,8 +347,7 @@ def dof_from_trials(s: LinearScheme, records) -> DofResult:
 
 
 def scheme_from_schedule(t: Topology, a: MessageAssignment, sched: TdmaSchedule,
-                         n: int | None = None,
-                         lcm_limit: int = SCHEDULE_LCM_LIMIT) -> LinearScheme:
+                         n: int | None = None) -> LinearScheme:
     """Embed a fractional TDMA schedule as a slot-partitioned linear scheme.
 
     Entry e gets a contiguous block of lambda_e * n slots; each message it
@@ -362,9 +359,9 @@ def scheme_from_schedule(t: Topology, a: MessageAssignment, sched: TdmaSchedule,
     validate_schedule(t, a, sched)
     fractions = [Fraction(lam) for _, lam in sched.entries]
     denom_lcm = math.lcm(1, *(f.denominator for f in fractions))
-    if denom_lcm > lcm_limit:
+    if denom_lcm > SCHEDULE_LCM_LIMIT:
         raise InvalidParameterError(
-            f"schedule denominators need n={denom_lcm} slots, above the limit {lcm_limit}")
+            f"schedule denominators need n={denom_lcm} slots, above the limit {SCHEDULE_LCM_LIMIT}")
     if n is None:
         n = denom_lcm
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -478,8 +475,7 @@ def full_cooperation_assignment(K: int) -> MessageAssignment:
 
 
 def random_scheme(t: Topology, a: MessageAssignment, n: int, density: float,
-                  seed: int | None = None,
-                  n_limit: int = RANDOM_SCHEME_N_LIMIT) -> LinearScheme:
+                  seed: int | None = None) -> LinearScheme:
     """Random linear scheme: each message is active with probability `density`,
     active messages pick 1..n symbols and dense complex Gaussian precoders.
 
@@ -488,9 +484,10 @@ def random_scheme(t: Topology, a: MessageAssignment, n: int, density: float,
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"slot count n must be a positive integer, got {n!r}")
-    if n > n_limit:
+    if n > RANDOM_SCHEME_N_LIMIT:
         raise ResourceLimitError(
-            f"random schemes limited to n <= {n_limit}, got n={n}", limit=n_limit)
+            f"random schemes limited to n <= {RANDOM_SCHEME_N_LIMIT}, got n={n}",
+            limit=RANDOM_SCHEME_N_LIMIT)
     if not 0 < density <= 1:
         raise InvalidParameterError(f"density must be in (0, 1], got {density!r}")
     if seed is None:

@@ -10,8 +10,11 @@ whole slot, is the exact TDMA optimum.
 
 On the generated families a receiver is servable exactly when its served
 neighbours lie at least L+2 apart, so `optimal_tdma` finds the largest
-served set with a gap DP at any K.  Explicit topologies keep an
-exhaustive subset scan, capped at K <= TDMA_SEARCH_K_LIMIT.
+served set with a gap DP at any K.  Every other served-set question
+(explicit topologies, fixed assignments with any number of carriers per
+message) is one search: with the servers made part of the graph's nodes,
+a served set is a clique over (receiver, carrier) pairs, and
+Bron-Kerbosch lists them, capped at K <= TDMA_SEARCH_K_LIMIT.
 """
 
 from __future__ import annotations
@@ -270,9 +273,16 @@ def canonical_tdma(t: Topology) -> tuple[MessageAssignment, TdmaSchedule]:
 def maximal_servable_sets(t: Topology, a: MessageAssignment) -> tuple[ServedSet, ...]:
     """All inclusion-maximal served sets realizable under a fixed assignment.
 
-    Single-transmitter assignments reduce to pairwise compatibility and are
-    enumerated as maximal cliques; larger budgets fall back to a full
-    subset scan (servability is downward closed).
+    Once the servers are fixed every served-set condition is pairwise, so
+    a served set with its servers is a clique in the graph whose nodes are
+    the (receiver, carrier) pairs where the receiver hears the carrier:
+    two nodes are adjacent when neither server reaches the other node's
+    receiver.  Each server reaches its own receiver, so two nodes of one
+    receiver, or of one transmitter, are never adjacent.  Bron-Kerbosch
+    lists the maximal cliques, and since a maximal clique can cover fewer
+    receivers than another, only the inclusion-maximal receiver sets are
+    kept.  Each member is then served by the lowest carrier that reaches
+    it and no other member.  TDMA_SEARCH_K_LIMIT is read at call time.
     """
     if t.K > TDMA_SEARCH_K_LIMIT:
         raise ResourceLimitError(
@@ -280,34 +290,21 @@ def maximal_servable_sets(t: Topology, a: MessageAssignment) -> tuple[ServedSet,
             limit=TDMA_SEARCH_K_LIMIT)
     if a.K != t.K:
         raise InvalidAssignmentError(f"assignment is over {a.K} users, topology has {t.K}")
-    K = t.K
-    ts_masks = [0] * K
-    for i, ts in enumerate(a.transmit_sets):
-        for j in ts:
-            ts_masks[i] |= 1 << (j - 1)
-
-    masks: list[int]
-    if all(len(ts) == 1 for ts in a.transmit_sets):
-        carrier = [next(iter(ts)) for ts in a.transmit_sets]
-        verts = [i for i in range(1, K + 1) if t.connected(i, carrier[i - 1])]
-        compat = [0] * (K + 1)
-        for i, j in itertools.combinations(verts, 2):
-            if not t.connected(i, carrier[j - 1]) and not t.connected(j, carrier[i - 1]):
-                compat[i] |= 1 << (j - 1)
-                compat[j] |= 1 << (i - 1)
-        masks = _maximal_cliques(compat, sum(1 << (v - 1) for v in verts))
-    else:
-        servable = set()
-        for mask in range(1 << K):
-            ok = True
-            for v in iter_bits(mask):
-                if _served_candidates(t, v + 1, mask, ts_masks[v]) is None:
-                    ok = False
-                    break
-            if ok:
-                servable.add(mask)
-        masks = [m for m in servable
-                 if all((m | (1 << v)) not in servable for v in range(K) if not m & (1 << v))]
+    ts_masks = [sum(1 << (j - 1) for j in ts) for ts in a.transmit_sets]
+    nodes = [(i, j + 1) for i, row in enumerate(t.rx_masks, start=1)
+             for j in iter_bits(row & ts_masks[i - 1])]
+    compat = [0] * (len(nodes) + 1)
+    for (u, (i, j)), (v, (i2, j2)) in itertools.combinations(enumerate(nodes, start=1), 2):
+        if not t.connected(i, j2) and not t.connected(i2, j):
+            compat[u] |= 1 << (v - 1)
+            compat[v] |= 1 << (u - 1)
+    covered = {sum(1 << (nodes[v][0] - 1) for v in iter_bits(clique))
+               for clique in _maximal_cliques(compat, (1 << len(nodes)) - 1)}
+    masks: list[int] = []
+    for m in sorted(covered, key=int.bit_count, reverse=True):
+        # a strict superset is larger, so it is already kept if it is maximal
+        if all(m & kept != m for kept in masks):
+            masks.append(m)
 
     sets = []
     for mask in sorted(masks, key=lambda m: tuple(iter_bits(m))):
@@ -339,8 +336,6 @@ def _maximal_cliques(compat: list[int], vert_mask: int) -> list[int]:
             x |= bit
 
     bk(0, vert_mask, 0)
-    if not out:
-        out.append(0)
     return out
 
 
@@ -348,8 +343,9 @@ def best_sum_schedule(t: Topology, a: MessageAssignment) -> tuple[TdmaSchedule, 
     """Exact fractional-schedule optimum for a fixed assignment.
 
     max sum_k |S_k| lambda_k subject to sum lambda <= 1 is attained by
-    giving the whole slot to a largest maximal served set; the first one
-    in enumeration order is taken, the vertex Bland's rule ends on.
+    giving the whole slot to a largest maximal served set, so no LP is
+    solved: the first largest of `maximal_servable_sets`, in its order of
+    ascending receiver tuples, takes the slot.
     """
     best = max(maximal_servable_sets(t, a), key=len)  # first of the largest
     entries = ((best, Fraction(1)),) if len(best) else ()
@@ -443,26 +439,6 @@ def _gap_dp(t: Topology) -> tuple[int, tuple[int, ...]]:
     return value, tuple(served)
 
 
-def _served_by_subsets(t: Topology) -> dict[int, int]:
-    """Server map of the lexicographically first largest servable set, by subset scan."""
-    K = t.K
-    full = (1 << K) - 1
-    for size in range(K, 0, -1):
-        for combo in itertools.combinations(range(1, K + 1), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << (v - 1)
-            servers = {}
-            for j in combo:
-                srv = _served_candidates(t, j, mask, full)
-                if srv is None:
-                    break
-                servers[j] = srv
-            else:
-                return servers
-    raise InvalidParameterError("topology has no servable receiver; direct links are missing")
-
-
 def _carrier_assignment(t: Topology, found: dict[int, int], M: int | None) -> MessageAssignment:
     """Served messages ride their servers, the rest their lowest heard transmitter."""
     carriers = []
@@ -513,10 +489,12 @@ def optimal_tdma(t: Topology, M: int | None = 1) -> tuple[MessageAssignment, Tdm
     one cannot enlarge the search space.  The search therefore looks for
     the lexicographically first largest set of receivers that can each
     claim a connected transmitter covering no other member.  Generated
-    topologies use the gap DP at any K and emit its one-entry schedule;
-    explicit ones scan subsets up to K <= TDMA_SEARCH_K_LIMIT (read at call
-    time), then re-derive the schedule from the winning assignment's
-    maximal served sets as a cross-check.
+    topologies use the gap DP at any K and emit its one-entry schedule.
+    Explicit ones, up to K <= TDMA_SEARCH_K_LIMIT (read at call time), take
+    that set from the pair-clique search under the assignment that gives
+    every message all the transmitters its receiver hears; messages then
+    ride their servers, and the winning assignment's own best schedule is
+    re-derived as a cross-check.
     """
     if M is not None and (not isinstance(M, int) or isinstance(M, bool) or M < 1):
         raise InvalidParameterError(f"budget M must be a positive integer or None, got {M!r}")
@@ -526,7 +504,11 @@ def optimal_tdma(t: Topology, M: int | None = 1) -> tuple[MessageAssignment, Tdm
         raise ResourceLimitError(
             f"TDMA search limited to K <= {TDMA_SEARCH_K_LIMIT} on explicit topologies, "
             f"got K={t.K}", limit=TDMA_SEARCH_K_LIMIT)
-    found = _served_by_subsets(t)
+    heard = MessageAssignment(
+        transmit_sets=tuple(frozenset(j + 1 for j in iter_bits(row)) for row in t.rx_masks),
+        budget=None)
+    ((served_set, _),) = best_sum_schedule(t, heard)[0].entries
+    found = served_set.server_of
     assignment = _carrier_assignment(t, found, M)
     schedule, result = best_sum_schedule(t, assignment)
     if result.sum_dof != len(found):

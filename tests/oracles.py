@@ -4,7 +4,8 @@ Each oracle takes a deliberately different route from the production code:
 LP values come from basic-point enumeration instead of simplex, acyclicity
 from a three-color DFS instead of source peeling, demand edges from
 pair-by-pair connectivity queries instead of carrier coverage masks,
-chordality from brute subset enumeration, received signals from literal
+chordality from brute subset enumeration, served sets from a scan of
+every receiver subset instead of cliques, received signals from literal
 scalar loops (decodability and the reconstruction report are ranked on
 them one receiver and one block at a time), and the best-assignment bound
 from a plain product of assignments instead of rotation orbits.
@@ -222,6 +223,34 @@ def schedulable_pairwise(t, s):
             if i2 != i and t.connected(i, j2):
                 return False
     return True
+
+
+def maximal_servable_sets_by_subsets(t, a):
+    """Server maps of the inclusion-maximal servable receiver sets under assignment a.
+
+    Scans every receiver subset; a member's server is the lowest carrier of
+    its message that it hears and no other member hears, and a subset is
+    servable when every member has one.  Maps come in ascending order of
+    their sorted receiver tuples.
+    """
+    K = t.K
+    servable = {}
+    for mask in range(1 << K):
+        members = [i for i in range(1, K + 1) if mask >> (i - 1) & 1]
+        servers = {}
+        for i in members:
+            server = next((j for j in sorted(a.transmit_sets[i - 1])
+                           if t.connected(i, j)
+                           and not any(t.connected(i2, j) for i2 in members if i2 != i)),
+                          None)
+            if server is None:
+                break
+            servers[i] = server
+        else:
+            servable[mask] = servers
+    maximal = [mask for mask in servable
+               if not any(other != mask and other & mask == mask for other in servable)]
+    return [servable[mask] for mask in sorted(maximal, key=lambda m: sorted(servable[m]))]
 
 
 def tdma_optimum_by_subsets(t):

@@ -94,6 +94,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal check failed: gap DP serves receiver")
 
+    @pytest.mark.parametrize("argv", [
+        "lin-eval --K 8 --L 2 --n 2 --seed -5",
+        "converse-sample --K 8 --L 2 --trials 1 --seed -5",
+        "lemma1 --K 8 --L 2 --n 2 --seed -5",
+    ])
+    def test_negative_seed_names_the_flag(self, argv, capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "invalid input: --seed must be a non-negative integer, got -5\n"
+
     @pytest.mark.parametrize("target", ["", "file.txt/out.csv"], ids=["directory", "under-a-file"])
     def test_unwritable_out_is_a_validation_error(self, target, tmp_path, capsys):
         (tmp_path / "file.txt").write_text("")

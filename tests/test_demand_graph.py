@@ -326,10 +326,11 @@ class TestCertifiedClosedForm:
         assert h.hexdigest() == CERTIFIED_GOLDEN
 
     @pytest.mark.parametrize("K,L", CERTIFIABLE + BEYOND_GOLDEN)
-    def test_closed_form_agrees_with_the_candidate_lp(self, K, L):
+    def test_closed_form_agrees_with_the_candidate_lp(self, K, L, monkeypatch):
         t, bound = _certified(K, L)
         g = demand_graph.build_demand_graph(t, bound.assignment)
-        lp_value = demand_graph.dof_upper_bound_lp(g, k_limit=K).value
+        monkeypatch.setattr(demand_graph, "DEMAND_LP_K_LIMIT", K)
+        lp_value = demand_graph.dof_upper_bound_lp(g).value
         assert bound.value == lp_value == F(2 * K, L + 2)
         carriers = [next(iter(ts)) for ts in bound.assignment.transmit_sets]
         assert tuple(t.tx_masks[c - 1] for c in carriers) == g.nonsource_masks

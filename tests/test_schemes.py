@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import schedulable_pairwise, tdma_optimum_by_subsets
+from oracles import maximal_servable_sets_by_subsets, schedulable_pairwise, tdma_optimum_by_subsets
 from timdof import schemes, topology
 from timdof.errors import (
     InvalidAssignmentError,
@@ -43,6 +43,27 @@ def any_topologies(draw, max_k=7):
     pairs = st.tuples(st.integers(1, K), st.integers(1, K))
     extra = draw(st.lists(pairs, max_size=2 * K))
     return topology.explicit_topology(K, [(i, i) for i in range(1, K + 1)] + extra)
+
+
+@st.composite
+def explicit_topologies(draw, max_k=9):
+    """An explicit topology of any density: each receiver hears a random transmitter set."""
+    K = draw(st.integers(1, max_k))
+    rows = [draw(st.integers(0, (1 << K) - 1)) | 1 << (i - 1) for i in range(1, K + 1)]
+    return topology.explicit_topology(
+        K, [(i, j + 1) for i, row in enumerate(rows, start=1) for j in topology.iter_bits(row)])
+
+
+@st.composite
+def explicit_topologies_with_assignment(draw, max_k=9):
+    """An explicit topology with a singleton or a multi-carrier assignment; carriers may go unheard."""
+    t = draw(explicit_topologies(max_k))
+    if draw(st.booleans()):
+        return t, schemes.singleton_assignment([draw(st.integers(1, t.K)) for _ in range(t.K)])
+    masks = [draw(st.integers(1, (1 << t.K) - 1)) for _ in range(t.K)]
+    return t, schemes.MessageAssignment(
+        transmit_sets=tuple(frozenset(j + 1 for j in topology.iter_bits(m)) for m in masks),
+        budget=None)
 
 
 @st.composite
@@ -295,6 +316,14 @@ class TestMaximalServableSets:
         assert max(sizes) == 2  # L=1 cyclic: at most every other receiver
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_topologies_with_assignment())
+    def test_matches_subset_oracle(self, pair):
+        t, a = pair
+        sets = schemes.maximal_servable_sets(t, a)
+        assert [s.server_of for s in sets] == maximal_servable_sets_by_subsets(t, a)
+
+
 class TestOptimalTdma:
     @pytest.mark.parametrize("K,want", [(4, 2), (6, 3), (8, 4)])
     def test_cyclic_l2_half_per_user(self, K, want):
@@ -359,7 +388,7 @@ class TestOptimalTdma:
             return sched, dataclasses.replace(res, sum_dof=res.sum_dof - 1)
 
         monkeypatch.setattr(schemes, "best_sum_schedule", one_short)
-        # explicit topologies keep the subset scan and its schedule cross-check
+        # explicit topologies keep the schedule cross-check after the pair-clique search
         t = topology.explicit_topology(4, [(i, i) for i in range(1, 5)] + [(2, 1), (4, 3)])
         with pytest.raises(RuntimeError, match="disagrees with the served-set search"):
             schemes.optimal_tdma(t)
@@ -412,6 +441,14 @@ class TestOptimalTdma:
         assert res.sum_dof.denominator == 1
         assert 1 <= res.sum_dof <= t.K
         assert schemes.schedule_dof(sched).sum_dof == res.sum_dof
+
+    @settings(max_examples=100, deadline=None)
+    @given(explicit_topologies(), st.sampled_from([1, 2, None]))
+    def test_explicit_entry_matches_subset_oracle(self, t, M):
+        a, sched, res = schemes.optimal_tdma(t, M)
+        ((served_set, lam),) = sched.entries
+        assert served_set.server_of == tdma_optimum_by_subsets(t)
+        assert lam == 1 and res.sum_dof == len(served_set) and a.budget == M
 
     @settings(max_examples=30, deadline=None)
     @given(topologies_with_assignment(max_k=7))
