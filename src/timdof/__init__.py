@@ -11,7 +11,8 @@ The package has four analysis layers plus a CLI:
 - :mod:`timdof.demand_graph` computes exact LP outer bounds from acyclic
   demand-graph subsets, with verifiable dual certificates.
 - :mod:`timdof.linear_sim` evaluates random linear cooperation schemes by
-  generic rank and runs the reconstruction-based converse diagnostic.
+  generic rank, exactly over GF(p), and runs the reconstruction-based
+  converse diagnostic.
 
 All DoF values away from the simulation layer are exact fractions.
 """

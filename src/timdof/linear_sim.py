@@ -1,17 +1,21 @@
-"""Numerical simulation of linear cooperation schemes and the reconstruction converse.
+"""Simulation of linear cooperation schemes over GF(p) and the reconstruction converse.
 
 Schemes fix per-message symbol counts and per-(transmitter, message)
 precoding matrices over n slots before any channel is drawn; channels are
-then sampled i.i.d. complex Gaussian on the topology's support.  Achieved
-DoF is evaluated by generic-rank decodability: the number of desired
-dimensions a receiver resolves beyond its interference.  A channel draw is
-turned into received maps a block of receivers at a time, visiting only
+then sampled uniformly from the nonzero field elements on the topology's
+support.  Every entry is an integer modulo the prime PRIME, and every rank
+is exact over that field.  Achieved DoF is evaluated by generic-rank
+decodability: the number of desired dimensions a receiver resolves beyond
+its interference.  Generic rank is the rank of a matrix of polynomials in
+the channel and precoder variables, and a uniform draw from GF(p) attains
+it except with probability at most deg/p (Schwartz-Zippel).  A channel draw
+is turned into received maps a block of receivers at a time, visiting only
 the links each receiver hears, and each block's decodability counts come
-from batched ranks.  The converse diagnostic stacks the channel blocks of
-a receiver set B, counts the interfering symbols s and the rank r of their
-processed-signal map, and tests whether the non-exclusive transmit signals
-can be rebuilt from B's processed signals, which is the linear step of the
-sum-DoF <= |B| argument.
+from one batched elimination.  The converse diagnostic stacks the channel
+blocks of a receiver set B, counts the interfering symbols s and the rank r
+of their processed-signal map, and tests whether the non-exclusive
+transmit signals can be rebuilt from B's processed signals, which is the
+linear step of the sum-DoF <= |B| argument.
 """
 
 from __future__ import annotations
@@ -39,39 +43,78 @@ TIME_VARYING = "time-varying"
 CONSTANT = "constant"
 COHERENCE_MODES = (TIME_VARYING, CONSTANT)
 
-# singular values below RANK_REL_TOL * (largest singular value) count as zero
-RANK_REL_TOL = 1e-9
+# the field every channel gain, precoder entry and rank lives in; a
+# product of two entries stays below 2**62, inside int64
+PRIME = (1 << 31) - 1
 SCHEDULE_LCM_LIMIT = 64
 RANDOM_SCHEME_N_LIMIT = 8
-# decodability counts hold the received maps of at most this many complex
+# a channel draw holds K*K*n gains; larger simulations are refused before
+# anything is allocated
+CHANNEL_ENTRY_LIMIT = 1 << 20
+# decodability counts hold the received maps of at most this many int64
 # entries at once, taking the receivers a block at a time
 RECEIVER_BLOCK_ENTRIES = 1 << 21
 
 
 def generic_rank(mat: np.ndarray) -> int | np.ndarray:
-    """Numerical rank with the relative singular-value cutoff RANK_REL_TOL.
+    """Rank over GF(PRIME) of a matrix of entries in 0..PRIME-1.
 
     A stack of matrices (..., rows, cols) gets an array of ranks, one per
-    matrix, from one batched SVD; a single matrix gets an int.
+    matrix, from one batched elimination along the shorter side of the
+    matrices; a single matrix gets an int.
     """
-    if mat.size == 0:
-        ranks = np.zeros(mat.shape[:-2], dtype=int)
-    else:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        # an all-zero matrix has top singular value 0 and counts nothing
-        ranks = np.count_nonzero(sv > RANK_REL_TOL * sv[..., :1], axis=-1)
-    return int(ranks) if mat.ndim == 2 else ranks
+    _check_field_entries(mat, "matrix")
+    batch, (rows, cols) = mat.shape[:-2], mat.shape[-2:]
+    stack = mat.reshape((math.prod(batch), rows, cols))
+    # a copy, eliminated in place, with the shorter side as its columns
+    ranks = _eliminate(np.array(stack.swapaxes(1, 2) if rows < cols else stack, dtype=np.int64))
+    return int(ranks[0]) if mat.ndim == 2 else ranks.reshape(batch)
+
+
+def _eliminate(a: np.ndarray) -> np.ndarray:
+    """Eliminate the stack a (batch, rows, cols) in place, column by column,
+    and return the rank of each matrix.
+
+    Each step takes a row with a nonzero entry in the column as the pivot
+    row and replaces every row by lead * row - (its entry in the column) *
+    (pivot row), with lead the pivot entry.  Both products stay below 2**62,
+    so the difference is reduced mod PRIME exactly in int64.  The pivot row
+    becomes zero, so it never pivots again, and the rank is the number of
+    columns that found a pivot.
+    """
+    batch, rows, cols = a.shape
+    ranks = np.zeros(batch, dtype=int)
+    if a.size == 0:
+        return ranks
+    at = np.arange(batch)
+    for k in range(cols):
+        col = a[:, :, k]
+        row = (col != 0).argmax(axis=1)
+        lead = col[at, row]
+        found = lead != 0
+        if not found.any():
+            continue
+        ranks += found
+        rest = a[:, :, k + 1:]
+        if rest.size == 0:
+            break
+        # a matrix without a pivot here has a zero column and stays as it is
+        lead[~found] = 1
+        step = rest * lead[:, None, None]
+        step -= col[:, :, None] * rest[at, row][:, None, :]
+        np.remainder(step, PRIME, out=rest)
+    return ranks
 
 
 @dataclass(eq=False)
 class LinearScheme:
     """Per-message symbol counts and per-(transmitter, message) precoders.
 
-    precoders maps (transmitter j, message i) to an n x m_i complex matrix
-    and may only contain keys with j in the message's transmit set; missing
-    keys mean the zero matrix.  Precoders never see channel values: schemes
-    are fully built before realizations are sampled, and are not changed
-    afterwards.
+    precoders maps (transmitter j, message i) to an n x m_i integer matrix
+    with entries in 0..PRIME-1 and may only contain keys with j in the
+    message's transmit set; missing keys mean the zero matrix.  Precoders
+    never see channel values: schemes are fully built before realizations
+    are sampled, and are not changed afterwards.
     """
 
     n: int
@@ -97,6 +140,9 @@ class LinearScheme:
             if mat.shape != want:
                 raise InvalidParameterError(
                     f"precoder ({j},{i}) has shape {mat.shape}, expected {want}")
+        if self.precoders:
+            _check_field_entries(
+                np.concatenate([mat.ravel() for mat in self.precoders.values()]), "precoder")
 
     @property
     def K(self) -> int:
@@ -105,7 +151,7 @@ class LinearScheme:
     def precoder(self, j: int, i: int) -> np.ndarray:
         got = self.precoders.get((j, i))
         if got is None:
-            return np.zeros((self.n, self.symbol_counts[i - 1]), dtype=complex)
+            return np.zeros((self.n, self.symbol_counts[i - 1]), dtype=np.int64)
         return got
 
     @cached_property
@@ -139,12 +185,12 @@ class LinearScheme:
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """Sampled channel coefficients h[i-1, j-1, t-1], zero off the topology support."""
+    """Sampled channel gains h[i-1, j-1, t-1] in GF(PRIME), zero off the topology support."""
 
     K: int
     n: int
     coherence: str
-    h: np.ndarray  # shape (K, K, n), complex
+    h: np.ndarray  # shape (K, K, n), integers in 0..PRIME-1
 
     def __post_init__(self):
         if self.coherence not in COHERENCE_MODES:
@@ -152,6 +198,23 @@ class ChannelRealization:
         if self.h.shape != (self.K, self.K, self.n):
             raise InvalidParameterError(
                 f"channel array has shape {self.h.shape}, expected {(self.K, self.K, self.n)}")
+        _check_field_entries(self.h, "channel gain")
+
+
+def _check_field_entries(values: np.ndarray, what: str) -> None:
+    """Reject arrays that are not integers in 0..PRIME-1."""
+    if values.dtype.kind not in "iu":
+        raise InvalidParameterError(f"{what} entries must be integers, got dtype {values.dtype}")
+    if values.size and not (values.min() >= 0 and values.max() < PRIME):
+        raise InvalidParameterError(f"{what} entries must lie in 0..{PRIME - 1}")
+
+
+def _check_channel_entries(K: int, n: int) -> None:
+    """Refuse a simulation whose channel draw would hold more than CHANNEL_ENTRY_LIMIT gains."""
+    if K * K * n > CHANNEL_ENTRY_LIMIT:
+        raise ResourceLimitError(
+            f"a channel over K={K} users and n={n} slots holds K*K*n = {K * K * n} gains, "
+            f"above the limit {CHANNEL_ENTRY_LIMIT}", limit=CHANNEL_ENTRY_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -175,10 +238,11 @@ class ReconstructionReport:
 
 def sample_channel(t: Topology, n: int, coherence: str = TIME_VARYING,
                    seed: int | None = None) -> ChannelRealization:
-    """Draw i.i.d. standard complex Gaussian coefficients on the topology support.
+    """Draw i.i.d. gains uniform on 1..PRIME-1 on the topology support.
 
     Deterministic for a given seed.  Constant coherence draws one matrix
-    and repeats it across all n slots.
+    and repeats it across all n slots.  More than CHANNEL_ENTRY_LIMIT
+    gains (K*K*n) raise ResourceLimitError before anything is drawn.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"slot count n must be a positive integer, got {n!r}")
@@ -187,17 +251,17 @@ def sample_channel(t: Topology, n: int, coherence: str = TIME_VARYING,
     if seed is None:
         raise InvalidParameterError("sample_channel requires an explicit seed")
     K = t.K
+    _check_channel_entries(K, n)
     rng = np.random.default_rng(seed)
     if coherence == CONSTANT:
-        base = (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))) / math.sqrt(2)
-        h = np.repeat(base[:, :, None], n, axis=2)
+        h = np.repeat(rng.integers(1, PRIME, (K, K, 1)), n, axis=2)
     else:
-        h = (rng.standard_normal((K, K, n)) + 1j * rng.standard_normal((K, K, n))) / math.sqrt(2)
+        h = rng.integers(1, PRIME, (K, K, n))
     # one 0/1 row per receiver, unpacked from its mask's little-endian bytes
     width = (K + 7) // 8
     raw = b"".join(row.to_bytes(width, "little") for row in t.rx_masks)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    support = bits.reshape(K, 8 * width)[:, :K].astype(float)
+    support = bits.reshape(K, 8 * width)[:, :K].astype(np.int64)
     return ChannelRealization(K=K, n=n, coherence=coherence, h=h * support[:, :, None])
 
 
@@ -217,17 +281,19 @@ def _received_maps(s: LinearScheme, c: ChannelRealization, rows: np.ndarray) -> 
 
     Entry r is the sum over transmitters j of diag(h_{rows[r], j}) times j's
     map, placed in j's symbol columns, so the M columns are in message
-    order.  Only the links a row hears are visited.
+    order.  Only the links a row hears are visited.  Each product is reduced
+    mod PRIME as it is added, so a sum of at most K of them stays far
+    inside int64 until the final reduction.
     """
     h = c.h[rows]
     heard = h.any(axis=2)
-    G = np.zeros((len(rows), s.n, len(s.column_messages)), dtype=complex)
+    G = np.zeros((len(rows), s.n, len(s.column_messages)), dtype=np.int64)
     for j in np.flatnonzero(heard.any(axis=0)):
         hit = np.flatnonzero(heard[:, j])
         gain = h[hit, j, :, None]
         for lo, hi, mat in s.transmit_runs[j]:
-            G[hit, :, lo:hi] += gain * mat
-    return G
+            G[hit, :, lo:hi] += gain * mat % PRIME
+    return np.remainder(G, PRIME, out=G)
 
 
 def _decodable_counts(s: LinearScheme, G: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -235,10 +301,12 @@ def _decodable_counts(s: LinearScheme, G: np.ndarray, rows: np.ndarray) -> np.nd
 
     rank of receiver i's whole map minus the rank of its interference,
     which is the same map with message i's columns zeroed: zero columns do
-    not change a rank, so each term is one batched SVD over the rows.
+    not change a rank, so both terms of every row come from one batched
+    elimination.
     """
     own = s.column_messages == rows[:, None] + 1
-    return generic_rank(G) - generic_rank(np.where(own[:, None, :], 0, G))
+    ranks = generic_rank(np.concatenate([G, np.where(own[:, None, :], 0, G)]))
+    return ranks[:len(rows)] - ranks[len(rows):]
 
 
 def _receiver_blocks(s: LinearScheme, count: int) -> list[slice]:
@@ -272,8 +340,7 @@ def received_map(s: LinearScheme, c: ChannelRealization,
 def decodable_symbols(s: LinearScheme, c: ChannelRealization, i: int) -> int:
     """Desired dimensions resolvable beyond interference at receiver i.
 
-    rank([desired | interference]) - rank(interference), computed with the
-    relative singular-value tolerance RANK_REL_TOL.
+    rank([desired | interference]) - rank(interference), over GF(PRIME).
     """
     _check_consistency(s, c)
     _check_receiver(s, i)
@@ -383,9 +450,9 @@ def scheme_from_schedule(t: Topology, a: MessageAssignment, sched: TdmaSchedule,
     slot = 0
     for (served_set, _), w in zip(sched.entries, widths):
         for i, j in served_set.servers:
-            mat = precoders.setdefault((j, i), np.zeros((n, counts[i - 1]), dtype=complex))
+            mat = precoders.setdefault((j, i), np.zeros((n, counts[i - 1]), dtype=np.int64))
             for k in range(w):
-                mat[slot + k, col_cursor[i - 1] + k] = 1.0
+                mat[slot + k, col_cursor[i - 1] + k] = 1
             col_cursor[i - 1] += w
         slot += w
     return LinearScheme(n=n, assignment=a, symbol_counts=tuple(counts), precoders=precoders)
@@ -399,7 +466,7 @@ def build_stacked_matrix(s: LinearScheme, c: ChannelRealization, B) -> np.ndarra
     """
     _check_consistency(s, c)
     rows = _validated_receiver_set(B, s.K)
-    out = np.zeros((s.n * len(rows), s.n * s.K), dtype=complex)
+    out = np.zeros((s.n * len(rows), s.n * s.K), dtype=np.int64)
     for bi, i in enumerate(rows):
         for j in range(1, s.K + 1):
             out[bi * s.n:(bi + 1) * s.n, (j - 1) * s.n:j * s.n] = np.diag(c.h[i - 1, j - 1, :])
@@ -444,21 +511,26 @@ def _reconstruction(s: LinearScheme, c: ChannelRealization,
     cols = ~np.isin(s.column_messages, rows)
     s_count = int(np.count_nonzero(cols))
 
-    # B's processed maps, then the interfering transmitters' maps, on the outside columns
-    augmented = np.zeros((len(rows) + len(interfering), s.n, s_count), dtype=complex)
+    # B's processed maps on the outside columns
+    processed = np.zeros((len(rows), s.n, s_count), dtype=np.int64)
     receivers = np.asarray(rows, dtype=int) - 1
     for part in _receiver_blocks(s, len(rows)):
-        augmented[part] = _received_maps(s, c, receivers[part])[:, :, cols]
-    outside_at = np.cumsum(cols) - 1
-    for sent, j in zip(augmented[len(rows):], interfering):
-        for lo, hi, mat in s.transmit_runs[j - 1]:
-            keep = cols[lo:hi]
-            sent[:, outside_at[lo:hi][keep]] = mat[:, keep]
-    augmented = augmented.reshape(len(augmented) * s.n, s_count)
-    r = generic_rank(augmented[:len(rows) * s.n])
+        processed[part] = _received_maps(s, c, receivers[part])[:, :, cols]
+    processed = processed.reshape(len(rows) * s.n, s_count)
+    r = generic_rank(processed)
     # an exclusive transmitter carries no outside symbol, so its map on these
-    # columns is zero: the known rows span what the processed rows span
-    reconstructable = generic_rank(augmented) == r
+    # columns is zero: the known rows span what the processed rows span.
+    # Processed rows that span every column leave nothing to rebuild.
+    reconstructable = r == s_count
+    if not reconstructable:
+        sent = np.zeros((len(interfering), s.n, s_count), dtype=np.int64)
+        outside_at = np.cumsum(cols) - 1
+        for sent_by, j in zip(sent, interfering):
+            for lo, hi, mat in s.transmit_runs[j - 1]:
+                keep = cols[lo:hi]
+                sent_by[:, outside_at[lo:hi][keep]] = mat[:, keep]
+        stacked = np.concatenate([processed, sent.reshape(len(interfering) * s.n, s_count)])
+        reconstructable = generic_rank(stacked) == r
 
     return ReconstructionReport(
         B=rows,
@@ -469,7 +541,12 @@ def _reconstruction(s: LinearScheme, c: ChannelRealization,
 
 
 def full_cooperation_assignment(K: int) -> MessageAssignment:
-    """Every message at every transmitter (unbounded budget)."""
+    """Every message at every transmitter (unbounded budget).
+
+    Its K*K transmit pairs are refused above CHANNEL_ENTRY_LIMIT, where no
+    channel could be drawn for it, before they are built.
+    """
+    _check_channel_entries(K, 1)
     everyone = frozenset(range(1, K + 1))
     return MessageAssignment(transmit_sets=tuple(everyone for _ in range(K)), budget=None)
 
@@ -477,10 +554,13 @@ def full_cooperation_assignment(K: int) -> MessageAssignment:
 def random_scheme(t: Topology, a: MessageAssignment, n: int, density: float,
                   seed: int | None = None) -> LinearScheme:
     """Random linear scheme: each message is active with probability `density`,
-    active messages pick 1..n symbols and dense complex Gaussian precoders.
+    active messages pick 1..n symbols and dense precoders uniform on GF(PRIME).
 
     Sampling happens before any channel draw and is deterministic given the
-    seed.  density must lie in (0, 1].
+    seed: the symbol counts first, one draw after another, then every
+    precoder entry in one draw, in order of message and then transmitter.
+    density must lie in (0, 1], and K*K*n may not exceed
+    CHANNEL_ENTRY_LIMIT.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"slot count n must be a positive integer, got {n!r}")
@@ -494,17 +574,18 @@ def random_scheme(t: Topology, a: MessageAssignment, n: int, density: float,
         raise InvalidParameterError("random_scheme requires an explicit seed")
     if a.K != t.K:
         raise InvalidInputError(f"assignment is over {a.K} users, topology has {t.K}")
+    _check_channel_entries(t.K, n)
     rng = np.random.default_rng(seed)
     counts = []
     for _ in range(t.K):
         active = rng.random() < density
         counts.append(int(rng.integers(1, n + 1)) if active else 0)
-    precoders = {}
-    for i in range(1, t.K + 1):
+    keys = [(j, i) for i in range(1, t.K + 1) if counts[i - 1]
+            for j in sorted(a.transmit_sets[i - 1])]
+    entries = rng.integers(0, PRIME, n * sum(counts[i - 1] for _, i in keys))
+    precoders, at = {}, 0
+    for j, i in keys:
         m = counts[i - 1]
-        if m == 0:
-            continue
-        for j in sorted(a.transmit_sets[i - 1]):
-            precoders[(j, i)] = (rng.standard_normal((n, m))
-                                 + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
+        precoders[(j, i)] = entries[at:at + n * m].reshape(n, m)
+        at += n * m
     return LinearScheme(n=n, assignment=a, symbol_counts=tuple(counts), precoders=precoders)

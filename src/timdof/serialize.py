@@ -1,9 +1,10 @@
 """Serialization to structured text with versioned schema identifiers.
 
 Exact rationals render as "p/q" strings (never decimals) so downstream
-equality checks are string equality; complex numbers render as [re, im]
-pairs.  Every document carries a schema id and round-trips through its
-from_dict counterpart.
+equality checks are string equality.  Precoders and channel gains are
+elements of GF(p), written one integer per entry next to the prime p.
+Every document carries a schema id and round-trips through its from_dict
+counterpart.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .demand_graph import DofBound
 from .errors import InvalidInputError
-from .linear_sim import ChannelRealization, LinearScheme, ReconstructionReport
+from .linear_sim import PRIME, ChannelRealization, LinearScheme, ReconstructionReport
 from .schemes import DofResult, MessageAssignment, ServedSet, TdmaSchedule
 from .topology import EXPLICIT, Topology, explicit_topology, make_locally_connected
 
@@ -27,8 +28,8 @@ ASSIGNMENT_SCHEMA = "timdof/assignment/v1"
 SCHEDULE_SCHEMA = "timdof/schedule/v1"
 DOF_RESULT_SCHEMA = "timdof/dof-result/v1"
 DOF_BOUND_SCHEMA = "timdof/dof-bound/v1"
-SCHEME_SCHEMA = "timdof/scheme/v1"
-REALIZATION_SCHEMA = "timdof/realization/v1"
+SCHEME_SCHEMA = "timdof/scheme/v2"
+REALIZATION_SCHEMA = "timdof/realization/v2"
 REPORT_SCHEMA = "timdof/reconstruction-report/v1"
 
 
@@ -51,18 +52,22 @@ def _expect_schema(doc: dict, schema: str) -> None:
         raise InvalidInputError(f"expected schema {schema!r}, got {doc.get('schema') if isinstance(doc, dict) else doc!r}")
 
 
-def _complex_matrix_out(mat: np.ndarray) -> list:
-    return [list(map(list, zip(re, im))) for re, im in zip(mat.real.tolist(), mat.imag.tolist())]
+def _field_part(doc: dict, key: str) -> dict:
+    """doc[key], the {"prime": p, ...} object of a field-valued part, checked against PRIME."""
+    part = doc.get(key)
+    if not isinstance(part, dict) or part.get("prime") != PRIME:
+        raise InvalidInputError(f"{key!r} must be an object recording the prime {PRIME}")
+    return part
 
 
-def _complex_matrix_in(rows, shape) -> np.ndarray:
-    out = np.zeros(shape, dtype=complex)
-    if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-        raise InvalidInputError(f"complex matrix has wrong shape, expected {shape}")
-    for r, row in enumerate(rows):
-        for c, (re, im) in enumerate(row):
-            out[r, c] = complex(re, im)
-    return out
+def _field_matrix_in(rows, shape) -> np.ndarray:
+    """The int64 matrix of the given shape held in rows of integers in 0..PRIME-1."""
+    if not (isinstance(rows, list) and len(rows) == shape[0]
+            and all(isinstance(row, list) and len(row) == shape[1]
+                    and all(type(x) is int and 0 <= x < PRIME for x in row) for row in rows)):
+        raise InvalidInputError(
+            f"expected {shape[0]} rows of {shape[1]} integers in 0..{PRIME - 1}")
+    return np.array(rows, dtype=np.int64).reshape(shape)
 
 
 def topology_to_dict(t: Topology) -> dict:
@@ -169,10 +174,13 @@ def scheme_to_dict(s: LinearScheme) -> dict:
         "n": s.n,
         "assignment": assignment_to_dict(s.assignment),
         "symbol_counts": list(s.symbol_counts),
-        "precoders": [
-            {"transmitter": j, "message": i, "matrix": _complex_matrix_out(mat)}
-            for (j, i), mat in sorted(s.precoders.items())
-        ],
+        "precoders": {
+            "prime": PRIME,
+            "matrices": [
+                {"transmitter": j, "message": i, "matrix": mat.tolist()}
+                for (j, i), mat in sorted(s.precoders.items())
+            ],
+        },
     }
 
 
@@ -181,9 +189,9 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
     n = doc["n"]
     counts = tuple(doc["symbol_counts"])
     precoders = {}
-    for entry in doc["precoders"]:
+    for entry in _field_part(doc, "precoders")["matrices"]:
         j, i = entry["transmitter"], entry["message"]
-        precoders[(j, i)] = _complex_matrix_in(entry["matrix"], (n, counts[i - 1]))
+        precoders[(j, i)] = _field_matrix_in(entry["matrix"], (n, counts[i - 1]))
     return LinearScheme(
         n=n, assignment=assignment_from_dict(doc["assignment"]),
         symbol_counts=counts, precoders=precoders)
@@ -195,16 +203,17 @@ def realization_to_dict(c: ChannelRealization) -> dict:
         "K": c.K,
         "n": c.n,
         "coherence": c.coherence,
-        "h": [_complex_matrix_out(c.h[i]) for i in range(c.K)],
+        "h": {"prime": PRIME, "gains": c.h.tolist()},
     }
 
 
 def realization_from_dict(doc: dict) -> ChannelRealization:
     _expect_schema(doc, REALIZATION_SCHEMA)
     K, n = doc["K"], doc["n"]
-    h = np.zeros((K, K, n), dtype=complex)
-    for i in range(K):
-        h[i] = _complex_matrix_in(doc["h"][i], (K, n))
+    gains = _field_part(doc, "h")["gains"]
+    if not isinstance(gains, list) or len(gains) != K:
+        raise InvalidInputError(f"expected channel gains for {K} receivers")
+    h = np.array([_field_matrix_in(row, (K, n)) for row in gains], dtype=np.int64)
     return ChannelRealization(K=K, n=n, coherence=doc["coherence"], h=h)
 
 
@@ -236,8 +245,8 @@ def dumps(doc: dict) -> str:
 
     The text equals json.dumps(doc, sort_keys=True, indent=2) + "\n", and
     unsupported values raise the same exceptions, but a list of plain
-    numbers, or of lists of them such as a row of complex [re, im] pairs,
-    is rendered in one join instead of one encoder step per number.
+    numbers, or of lists of them such as the rows of a precoder matrix, is
+    rendered in one join instead of one encoder step per number.
     """
     parts: list[str] = []
     _encode(doc, "\n", parts, set())
@@ -275,7 +284,7 @@ def _number_array(o, inner: str) -> str | None:
     of plain numbers; None for anything else.
 
     Plain numbers are exact ints and floats, whose repr is json's text, so a
-    row of complex [re, im] pairs is rendered in one join.
+    whole precoder matrix is rendered in one join.
     """
     sep = "," + inner
     if _PLAIN_NUMBERS.issuperset(map(type, o)):

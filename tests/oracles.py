@@ -6,19 +6,33 @@ from a three-color DFS instead of source peeling, demand edges from
 pair-by-pair connectivity queries instead of carrier coverage masks,
 chordality from brute subset enumeration, served sets from a scan of
 every receiver subset instead of cliques, received signals from literal
-scalar loops (decodability and the reconstruction report are ranked on
-them one receiver and one block at a time), and the best-assignment bound
+scalar loops on Python numbers (decodability and the reconstruction report
+are ranked on them one receiver and one block at a time), ranks over GF(p)
+from Gauss-Jordan elimination on Python ints instead of a batched
+fraction-free int64 one, and the best-assignment bound
 from a plain product of assignments instead of rotation orbits.
+
+The float path the simulation layer replaced lives on here as a second
+reference: complex Gaussian schemes and channels drawn as it drew them,
+ranked by SVD with a relative singular-value cutoff.  The literal oracles
+take either kind of scheme and channel, and work over GF(p) for integer
+channels and in complex floats otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from timdof import demand_graph, linear_sim, schemes
+
+PRIME = linear_sim.PRIME
+# singular values below RANK_REL_TOL * (largest singular value) count as zero
+RANK_REL_TOL = 1e-9
 
 
 def solve_exact(rows, rhs):
@@ -136,35 +150,148 @@ def has_chordless_cycle_at_least_6(n_nodes, und_edges):
     return False
 
 
+def rank_mod_p(mat):
+    """Rank over GF(PRIME) by Gauss-Jordan elimination on Python ints, pivoting
+    on the rows in order and normalizing each pivot by its inverse."""
+    rows = [[int(x) % PRIME for x in row] for row in np.asarray(mat, dtype=object).tolist()]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], PRIME - 2, PRIME)
+        lead = [x * inverse % PRIME for x in rows[rank]]
+        rows[rank] = lead
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % PRIME for x, y in zip(rows[r], lead)]
+        rank += 1
+    return rank
+
+
+def svd_rank(mat):
+    """Numerical rank of a complex matrix, or of each of a stack, by SVD with
+    the relative singular-value cutoff RANK_REL_TOL."""
+    if mat.size == 0:
+        ranks = np.zeros(mat.shape[:-2], dtype=int)
+    else:
+        sv = np.linalg.svd(mat, compute_uv=False)
+        # an all-zero matrix has top singular value 0 and counts nothing
+        ranks = np.count_nonzero(sv > RANK_REL_TOL * sv[..., :1], axis=-1)
+    return int(ranks) if mat.ndim == 2 else ranks
+
+
+def _is_exact(c):
+    return np.issubdtype(c.h.dtype, np.integer)
+
+
+def _rank(mat, exact):
+    return rank_mod_p(mat) if exact else svd_rank(mat)
+
+
+@dataclass(eq=False)
+class ComplexScheme:
+    """A linear scheme with complex precoders, as the float path held one."""
+
+    n: int
+    assignment: schemes.MessageAssignment
+    symbol_counts: tuple[int, ...]
+    precoders: dict
+
+    @property
+    def K(self):
+        return self.assignment.K
+
+    def precoder(self, j, i):
+        got = self.precoders.get((j, i))
+        return np.zeros((self.n, self.symbol_counts[i - 1]), dtype=complex) if got is None else got
+
+
+@dataclass(eq=False)
+class ComplexChannel:
+    """Complex channel gains h[i-1, j-1, t-1]."""
+
+    h: np.ndarray
+
+
+def complex_gaussian_scheme(t, a, n, density, seed):
+    """The float path's random scheme: the symbol counts drawn as
+    linear_sim.random_scheme draws them, then two standard-normal draws per
+    (transmitter, message) precoder."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    for _ in range(t.K):
+        active = rng.random() < density
+        counts.append(int(rng.integers(1, n + 1)) if active else 0)
+    precoders = {}
+    for i in range(1, t.K + 1):
+        m = counts[i - 1]
+        if m == 0:
+            continue
+        for j in sorted(a.transmit_sets[i - 1]):
+            precoders[(j, i)] = (rng.standard_normal((n, m))
+                                 + 1j * rng.standard_normal((n, m))) / math.sqrt(2)
+    return ComplexScheme(n=n, assignment=a, symbol_counts=tuple(counts), precoders=precoders)
+
+
+def complex_scheme_of(s):
+    """The GF(p) scheme s with its integer precoders read as complex numbers."""
+    return ComplexScheme(n=s.n, assignment=s.assignment, symbol_counts=s.symbol_counts,
+                         precoders={key: mat.astype(complex) for key, mat in s.precoders.items()})
+
+
+def complex_gaussian_channel(t, n, coherence=linear_sim.TIME_VARYING, seed=0):
+    """The float path's channel draw: i.i.d. standard complex Gaussian gains
+    on the topology support, one matrix repeated over the slots when the
+    coherence is constant."""
+    K = t.K
+    rng = np.random.default_rng(seed)
+    if coherence == linear_sim.CONSTANT:
+        base = (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))) / math.sqrt(2)
+        h = np.repeat(base[:, :, None], n, axis=2)
+    else:
+        h = (rng.standard_normal((K, K, n)) + 1j * rng.standard_normal((K, K, n))) / math.sqrt(2)
+    support = np.array([[t.connected(i, j) for j in range(1, K + 1)] for i in range(1, K + 1)])
+    return ComplexChannel(h=h * support[:, :, None])
+
+
 def received_maps_literal(scheme, c, receiver):
-    """Desired and interference maps at a receiver via literal scalar loops."""
+    """Desired and interference maps at a receiver via literal scalar loops,
+    exact over GF(PRIME) for an integer channel, complex otherwise."""
     n, K = scheme.n, scheme.K
     i = receiver
+    exact = _is_exact(c)
+    gains = c.h[i - 1].tolist()
 
     def arrival(k):
         m = scheme.symbol_counts[k - 1]
-        out = np.zeros((n, m), dtype=complex)
+        out = [[0] * m for _ in range(n)]
         for j in sorted(scheme.assignment.transmit_sets[k - 1]):
-            V = scheme.precoder(j, k)
+            V = scheme.precoder(j, k).tolist()
             for t_ in range(n):
                 for q in range(m):
-                    out[t_, q] += c.h[i - 1, j - 1, t_] * V[t_, q]
-        return out
+                    out[t_][q] += gains[j - 1][t_] * V[t_][q]
+        if exact:
+            out = [[x % PRIME for x in row] for row in out]
+        return np.array(out, dtype=np.int64 if exact else complex).reshape(n, m)
 
     desired = arrival(i)
     others = [arrival(k) for k in range(1, K + 1) if k != i]
-    interference = np.hstack(others) if others else np.zeros((n, 0), dtype=complex)
+    interference = np.hstack([desired[:, :0]] + others)
     return desired, interference
 
 
 def decodable_total_literal(scheme, c):
     """Sum over receivers of rank([desired | interference]) - rank(interference),
     one receiver at a time on the literal maps."""
+    exact = _is_exact(c)
     total = 0
     for i in range(1, scheme.K + 1):
         desired, interference = received_maps_literal(scheme, c, i)
-        total += (linear_sim.generic_rank(np.hstack([desired, interference]))
-                  - linear_sim.generic_rank(interference))
+        total += (_rank(np.hstack([desired, interference]), exact)
+                  - _rank(interference, exact))
     return total
 
 
@@ -172,6 +299,8 @@ def reconstruction_report_literal(scheme, c, B):
     """The lemma1 report of receiver set B, assembled block by block from the
     literal received maps and the precoders."""
     K, n, counts = scheme.K, scheme.n, scheme.symbol_counts
+    exact = _is_exact(c)
+    dtype = np.int64 if exact else complex
     rows = tuple(sorted(B))
     outside = [k for k in range(1, K + 1) if k not in rows]
     interfering = sorted({j for k in outside if counts[k - 1]
@@ -180,7 +309,7 @@ def reconstruction_report_literal(scheme, c, B):
 
     def outside_columns(blocks):
         picked = [blocks[k] for k in outside]
-        return np.hstack(picked) if picked else np.zeros((n, 0), dtype=complex)
+        return np.hstack(picked) if picked else np.zeros((n, 0), dtype=dtype)
 
     def receiver_blocks(i):
         desired, interference = received_maps_literal(scheme, c, i)
@@ -195,15 +324,15 @@ def reconstruction_report_literal(scheme, c, B):
         return outside_columns({k: scheme.precoder(j, k) for k in range(1, K + 1)})
 
     s = sum(counts[k - 1] for k in outside)
-    processed = np.vstack([np.zeros((0, s), dtype=complex)]
+    processed = np.vstack([np.zeros((0, s), dtype=dtype)]
                           + [outside_columns(receiver_blocks(i)) for i in rows])
     known = np.vstack([processed] + [transmit_map(j) for j in exclusive])
     augmented = np.vstack([known] + [transmit_map(j) for j in interfering])
-    r = linear_sim.generic_rank(processed)
+    r = _rank(processed, exact)
     return linear_sim.ReconstructionReport(
         B=rows, exclusive_transmitters=tuple(exclusive),
         interfering_transmitters=tuple(interfering), s=s, r=r, deficiency=s - r,
-        reconstructable=linear_sim.generic_rank(augmented) == linear_sim.generic_rank(known))
+        reconstructable=_rank(augmented, exact) == _rank(known, exact))
 
 
 def schedulable_pairwise(t, s):

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per acceptance criterion, each printing a
-single PASS/FAIL line.  Exact rational equalities throughout; the only
-tolerance in play is the generic-rank singular-value cutoff inside the
-simulation layer."""
+single PASS/FAIL line, and a cross-check of the simulation layer against
+the float path it replaced.  Exact rational equalities throughout, and
+exact ranks over GF(p) inside the simulation layer: no tolerance is in
+play outside the float reference."""
 
 import random
 import time
@@ -10,6 +11,14 @@ from fractions import Fraction
 import pytest
 
 from timdof import demand_graph, linear_sim, schemes, serialize, topology
+
+from oracles import (
+    complex_gaussian_channel,
+    complex_gaussian_scheme,
+    complex_scheme_of,
+    decodable_total_literal,
+    reconstruction_report_literal,
+)
 
 F = Fraction
 
@@ -126,11 +135,12 @@ def test_criterion_6_zero_deficiency_trials_reconstruct(converse_trials):
                   f"trials (B = even receivers)")
 
 
-def test_criterion_7_schedule_embedding_matches_combinatorial_dof():
+def embedded_schedules():
+    """Criterion 7's 50 random schedules on K <= 8: (topology, assignment,
+    schedule, embedded scheme, channel seed), drawn from a fixed seed."""
     rng = random.Random(20260814)
-    checked = 0
-    ok = True
-    while checked < 50:
+    out = []
+    while len(out) < 50:
         K = rng.randint(2, 8)
         L = rng.randint(0, min(3, K - 1))
         mode = rng.choice(topology.GENERATED_MODES)
@@ -143,11 +153,17 @@ def test_criterion_7_schedule_embedding_matches_combinatorial_dof():
         count = rng.randint(1, min(len(sets), denom))
         entries = tuple((s, F(1, denom)) for s in rng.sample(sets, count))
         sched = schemes.TdmaSchedule(K=K, entries=entries)
-        want = schemes.schedule_dof(sched, t, a).sum_dof
         scheme = linear_sim.scheme_from_schedule(t, a, sched)
-        got = linear_sim.evaluate_dof(scheme, t, trials=2, seed=rng.randrange(10 ** 6))
+        out.append((t, a, sched, scheme, rng.randrange(10 ** 6)))
+    return out
+
+
+def test_criterion_7_schedule_embedding_matches_combinatorial_dof():
+    ok = True
+    for t, a, sched, scheme, seed in embedded_schedules():
+        want = schemes.schedule_dof(sched, t, a).sum_dof
+        got = linear_sim.evaluate_dof(scheme, t, trials=2, seed=seed)
         ok = ok and got.sum_dof == want and not got.unstable
-        checked += 1
     report(7, ok, "evaluate_dof(scheme_from_schedule) equals schedule_dof exactly "
                   "on 50 random schedules, K <= 8")
 
@@ -185,3 +201,38 @@ def test_criterion_9_generic_rank_is_stable_across_redraws(converse_trials):
         ok = ok and not result.unstable
     report(9, ok, "decodable symbols identical across 10 redraws for every "
                   "criterion 5 scheme (disagreement < 1%, flagged)")
+
+
+def test_exact_ranks_agree_with_the_float_svd_path(converse_trials):
+    """Criterion 5's converse schemes and criterion 7's embeddings, evaluated
+    again on the float path: complex Gaussian precoders with the same symbol
+    counts and assignment, complex Gaussian channels, and literal maps
+    ranked by SVD, at both coherences.  Every decodability total and lemma1
+    report must equal the GF(p) result, draw by draw."""
+    t = converse_trials["topology"]
+    a = linear_sim.full_cooperation_assignment(CONVERSE_K)
+    for idx, rec in enumerate(converse_trials["records"]):
+        n = rec["n"]
+        floats = complex_gaussian_scheme(t, a, n, 1.0, seed=CONVERSE_SEED + idx)
+        assert floats.symbol_counts == rec["scheme"].symbol_counts
+        seeds = range(CONVERSE_SEED + 10 ** 6 + idx * CONVERSE_REALIZATIONS,
+                      CONVERSE_SEED + 10 ** 6 + (idx + 1) * CONVERSE_REALIZATIONS)
+        constant = linear_sim.channel_trials(rec["scheme"], t, seeds, linear_sim.CONSTANT,
+                                             EVEN_RECEIVERS)
+        for seed, total, report, record in zip(seeds, rec["result"].trial_totals,
+                                               rec["reports"], constant):
+            for coherence, want in ((linear_sim.TIME_VARYING, (total, report)),
+                                    (linear_sim.CONSTANT, (record.total, record.report))):
+                c = complex_gaussian_channel(t, n, coherence, seed)
+                assert want == (decodable_total_literal(floats, c),
+                                reconstruction_report_literal(floats, c, EVEN_RECEIVERS))
+    for t, _, _, scheme, seed in embedded_schedules():
+        floats = complex_scheme_of(scheme)
+        B = tuple(range(2, t.K + 1, 2))
+        for coherence in linear_sim.COHERENCE_MODES:
+            seeds = (seed, seed + 1)
+            for draw_seed, record in zip(seeds, linear_sim.channel_trials(
+                    scheme, t, seeds, coherence, B)):
+                c = complex_gaussian_channel(t, scheme.n, coherence, draw_seed)
+                assert record.total == decodable_total_literal(floats, c)
+                assert record.report == reconstruction_report_literal(floats, c, B)

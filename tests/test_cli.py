@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from timdof import __version__, cli, demand_graph, schemes
+from timdof import __version__, cli, demand_graph, linear_sim, schemes
 
 
 def run_cli(argv, capsys):
@@ -104,6 +104,19 @@ class TestExitCodes:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == "invalid input: --seed must be a non-negative integer, got -5\n"
+
+    @pytest.mark.parametrize("argv", [
+        "lin-eval --K 40000 --L 1 --n 1 --trials 1 --seed 1 --format json",
+        "lin-eval --K 40000 --L 1 --n 1 --trials 1 --seed 1 --cooperation single",
+        "converse-sample --K 12000 --L 2 --trials 1 --seed 1",
+        "lemma1 --K 40000 --L 1 --n 1 --seed 1 --cooperation single",
+    ])
+    def test_channel_entry_cap_exits_4_before_allocating(self, argv, capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == cli.EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource limit: a channel over K=")
+        assert f"above the limit {linear_sim.CHANNEL_ENTRY_LIMIT}" in err
 
     @pytest.mark.parametrize("target", ["", "file.txt/out.csv"], ids=["directory", "under-a-file"])
     def test_unwritable_out_is_a_validation_error(self, target, tmp_path, capsys):
@@ -334,25 +347,27 @@ SIM_HEADER = "K,L,n,trial,sum_dof,s,r,deficiency,reconstructable\n"
 # Exact stdout of the randomized commands, pinned before their trial loops
 # were merged into linear_sim.channel_trials, and of tdma-search JSON,
 # pinned while best_sum_schedule still solved its single-row LP.  lin-eval
-# and tdma-search JSON are pinned by the SHA-256 of their bytes.
+# and tdma-search JSON are pinned by the SHA-256 of their bytes; the
+# lin-eval JSON hashes were re-pinned when precoders became GF(p) integers
+# in timdof/scheme/v2 documents, with every CSV row and lemma1 report kept.
 GOLDEN_STDOUT = {
     ("lin-eval --K 8 --L 2 --n 2 --seed 5", "csv"):
         "# timdof 0.1.0 seed=5\n" + SIM_HEADER
         + "8,2,2,0,0/1,5,5,0,True\n8,2,2,1,0/1,5,5,0,True\n8,2,2,2,0/1,5,5,0,True\n",
     ("lin-eval --K 8 --L 2 --n 2 --seed 5", "json"):
-        "sha256:c891c33185a88538d5f2d5204795a5eed1116946008c955c9dd40c829c474c7d",
+        "sha256:71a2e25181c03bfe0b207f9d80516561b5f2afca4a07677b07003b467b49915c",
     ("lin-eval --K 8 --L 2 --n 2 --seed 5 --cooperation single --density 0.5", "csv"):
         "# timdof 0.1.0 seed=5\n" + SIM_HEADER
         + "8,2,2,0,1/1,2,2,0,True\n8,2,2,1,1/1,2,2,0,True\n8,2,2,2,1/1,2,2,0,True\n",
     ("lin-eval --K 8 --L 2 --n 2 --seed 5 --cooperation single --density 0.5", "json"):
-        "sha256:da0131b6cc2c9cfa0c719b89b090f35028f7bcbb0e1435879bd3258658fefe95",
+        "sha256:e30cf5457214ceec6bd43684b765f9b771a23b6ad0ed20dc48a5ab481a6ff8ab",
     ("lin-eval --K 6 --L 1 --n 2 --seed 5 --density 0.4 --trials 2 --coherence constant",
      "csv"):
         "# timdof 0.1.0 seed=5\n" + SIM_HEADER
         + "6,1,2,0,1/2,1,1,0,True\n6,1,2,1,1/2,1,1,0,True\n",
     ("lin-eval --K 6 --L 1 --n 2 --seed 5 --density 0.4 --trials 2 --coherence constant",
      "json"):
-        "sha256:8fec4a4e25c2e556f99b7b33f2edaeb814730c05487e6b66f58b05a9dc413481",
+        "sha256:9c447168df697de6d7471a7f8ad6e7e3523673a3f7a4db1ae179cd0c4717d9d3",
     ("lemma1 --K 8 --L 2 --n 2 --seed 5", "csv"):
         "# timdof 0.1.0 seed=5\n" + SIM_HEADER + "8,2,2,0,0/1,5,5,0,True\n",
     ("lemma1 --K 8 --L 2 --n 2 --seed 5", "json"):
@@ -395,10 +410,18 @@ GOLDEN_STDOUT = {
 TDMA_SEARCH_JSON_SHA256 = "52d5d10894955c6a9c36e19df9f3d5f7af6b734e86c27e9fe676e27d7694e019"
 
 # One SHA-256 over the argv, exit code, stdout and stderr of every command
-# that sampled_simulation_commands draws, pinned before the received maps
-# were batched per channel draw and before serialize.dumps stopped calling
-# the json encoder.
-SAMPLED_SIMULATION_SHA256 = "99b44e8e597566808a5678b57fdada04c4e43c01d99bc9444ef430fc1a7d9983"
+# that sampled_simulation_commands draws, re-pinned when precoders became
+# GF(p) integers; the hash below, which leaves the precoders out, holds
+# across that change.
+SAMPLED_SIMULATION_SHA256 = "36cb90aff786a9fc31c3319b3a015547ba86ce52a5368f372ee45c3f930cfa94"
+
+# The same hash with each lin-eval JSON document's scheme.precoders and
+# scheme.schema removed and the rest rendered by json.dumps(sort_keys=True,
+# indent=2), pinned while precoders were complex floats: the symbol counts,
+# trial totals, reports and messages do not depend on the field the
+# precoders are drawn from.
+SAMPLED_SIMULATION_WITHOUT_PRECODERS_SHA256 = (
+    "d5ac6bfed2d2c38d8a1298184e9628dc11c4dcfd23c83008762502ffc36a7dc7")
 
 
 def sampled_simulation_commands():
@@ -473,6 +496,17 @@ class TestGoldenArtifacts:
             code, out, err = run_cli(argv, capsys)
             digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
         assert digest.hexdigest() == SAMPLED_SIMULATION_SHA256
+
+    def test_sampled_simulation_commands_without_precoders(self, capsys):
+        digest = hashlib.sha256()
+        for argv in sampled_simulation_commands():
+            code, out, err = run_cli(argv, capsys)
+            if argv[0] == "lin-eval" and "json" in argv:
+                doc = json.loads(out)
+                del doc["scheme"]["precoders"], doc["scheme"]["schema"]
+                out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+        assert digest.hexdigest() == SAMPLED_SIMULATION_WITHOUT_PRECODERS_SHA256
 
     def test_converse_sample_density_one_is_the_default(self, capsys):
         args = "converse-sample --K 8 --L 2 --trials 3 --realizations 2 --seed 5"

@@ -1,5 +1,6 @@
-"""Linear cooperation schemes: sampling, generic-rank decodability,
-schedule embedding, stacked matrices, and the reconstruction diagnostic."""
+"""Linear cooperation schemes over GF(p): sampling, exact ranks,
+generic-rank decodability, schedule embedding, stacked matrices, and the
+reconstruction diagnostic."""
 
 from fractions import Fraction
 
@@ -10,9 +11,41 @@ from hypothesis import given, settings, strategies as st
 from timdof import linear_sim, schemes, topology
 from timdof.errors import InvalidInputError, InvalidParameterError, ResourceLimitError
 
-from oracles import decodable_total_literal, received_maps_literal, reconstruction_report_literal
+from oracles import (
+    complex_gaussian_scheme,
+    decodable_total_literal,
+    rank_mod_p,
+    received_maps_literal,
+    reconstruction_report_literal,
+)
 
 F = Fraction
+P = linear_sim.PRIME
+
+
+def planted(rng, shape, rank):
+    """A stack (..., rows, cols) of products X Y mod P with X of `rank` columns."""
+    *batch, rows, cols = shape
+    X = rng.integers(0, P, (*batch, rows, rank)).astype(object)
+    Y = rng.integers(0, P, (*batch, rank, cols)).astype(object)
+    return (np.matmul(X, Y) % P).astype(np.int64).reshape(shape)
+
+
+@st.composite
+def field_stacks(draw):
+    """Stacks of 1 to 4 matrices, tall, wide or empty: planted-rank products,
+    zero matrices, or entries from {0, 1, 2, P-1}, which make dependent rows
+    and columns whose eliminations wrap around the modulus."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    kind = draw(st.sampled_from(("planted", "zero", "small")))
+    if kind == "planted":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return planted(rng, shape, draw(st.integers(0, min(shape[1:]))))
+    if kind == "zero":
+        return np.zeros(shape, dtype=np.int64)
+    entries = draw(st.lists(st.sampled_from([0, 1, 2, P - 1]),
+                            min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(entries, dtype=np.int64).reshape(shape)
 
 
 @st.composite
@@ -68,8 +101,7 @@ def oracle_instances(draw, max_k=6, max_n=3):
         for i in range(1, K + 1):
             for j in sorted(a.transmit_sets[i - 1]):
                 if draw(st.booleans()):
-                    shape = (n, counts[i - 1])
-                    precoders[(j, i)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    precoders[(j, i)] = rng.integers(0, P, (n, counts[i - 1]))
         s = linear_sim.LinearScheme(n=n, assignment=a, symbol_counts=counts, precoders=precoders)
     else:
         a = linear_sim.full_cooperation_assignment(K) if kind == "full" else singleton
@@ -77,6 +109,45 @@ def oracle_instances(draw, max_k=6, max_n=3):
     coherence = draw(st.sampled_from(linear_sim.COHERENCE_MODES))
     B = tuple(sorted(draw(st.sets(st.integers(1, K)))))
     return t, s, coherence, B, seed
+
+
+class TestGenericRank:
+    @settings(max_examples=300, deadline=None)
+    @given(field_stacks())
+    def test_equals_the_python_int_elimination(self, stack):
+        want = [rank_mod_p(mat) for mat in stack]
+        assert linear_sim.generic_rank(stack).tolist() == want
+        assert linear_sim.generic_rank(stack[0]) == want[0]
+
+    @pytest.mark.parametrize("shape,rank", [
+        ((60, 9), 5), ((9, 60), 7), ((3, 40, 12), 12), ((5, 8, 144), 8), ((384, 72), 60)])
+    def test_planted_rank_is_found_on_large_shapes(self, shape, rank):
+        stack = planted(np.random.default_rng(rank), shape, rank)
+        got = np.ravel(linear_sim.generic_rank(stack)).tolist()
+        assert got == [rank_mod_p(mat) for mat in stack.reshape((-1,) + shape[-2:])]
+        assert set(got) == {rank}
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 4), (0, 2, 2), (2, 3, 0)])
+    def test_empty_matrices_have_rank_zero(self, shape):
+        got = linear_sim.generic_rank(np.zeros(shape, dtype=np.int64))
+        assert np.shape(got) == shape[:-2] and np.all(got == 0)
+
+    def test_single_matrix_gets_an_int(self):
+        got = linear_sim.generic_rank(np.eye(3, dtype=np.int64))
+        assert type(got) is int and got == 3
+
+    @pytest.mark.parametrize("mat", [np.eye(2), np.full((2, 2), P, dtype=np.int64),
+                                     np.full((2, 2), -1, dtype=np.int64)],
+                             ids=["float", "prime", "negative"])
+    def test_entries_outside_the_field_rejected(self, mat):
+        with pytest.raises(InvalidParameterError):
+            linear_sim.generic_rank(mat)
+
+    def test_input_is_left_unchanged(self):
+        mat = planted(np.random.default_rng(1), (2, 6, 4), 3)
+        before = mat.copy()
+        linear_sim.generic_rank(mat)
+        assert np.array_equal(mat, before)
 
 
 class TestSampleChannel:
@@ -93,6 +164,28 @@ class TestSampleChannel:
                     assert np.all(c.h[i - 1, j - 1, :] != 0)
                 else:
                     assert np.all(c.h[i - 1, j - 1, :] == 0)
+
+    @pytest.mark.parametrize("coherence", linear_sim.COHERENCE_MODES)
+    def test_gains_are_nonzero_field_elements_on_the_support(self, coherence):
+        t = topology.make_locally_connected(9, 3, topology.CYCLIC)
+        c = linear_sim.sample_channel(t, 4, coherence, seed=3)
+        assert c.h.dtype == np.int64
+        on = c.h[c.h != 0]
+        assert on.size == 9 * 4 * 4 and on.min() >= 1 and on.max() < P
+
+    def test_channel_entry_cap_refuses_before_allocating(self):
+        # K = 40000 would need 12.8 GB of gains; the cap is checked first
+        t = topology.make_locally_connected(40000, 1, topology.CYCLIC)
+        with pytest.raises(ResourceLimitError) as err:
+            linear_sim.sample_channel(t, 1, seed=1)
+        assert err.value.limit == linear_sim.CHANNEL_ENTRY_LIMIT
+
+    def test_channel_entry_cap_admits_its_own_size(self, monkeypatch):
+        t = topology.make_locally_connected(4, 1, topology.CYCLIC)
+        monkeypatch.setattr(linear_sim, "CHANNEL_ENTRY_LIMIT", 4 * 4 * 3)
+        assert linear_sim.sample_channel(t, 3, seed=1).h.shape == (4, 4, 3)
+        with pytest.raises(ResourceLimitError):
+            linear_sim.sample_channel(t, 4, seed=1)
 
     def test_constant_coherence_repeats_one_draw(self):
         t = topology.make_locally_connected(4, 2, topology.CYCLIC)
@@ -123,6 +216,14 @@ class TestSampleChannel:
         with pytest.raises(InvalidParameterError):
             linear_sim.sample_channel(t, 2, "block-fading", seed=1)
 
+    @pytest.mark.parametrize("h", [np.ones((2, 2, 1), dtype=complex),
+                                   np.full((2, 2, 1), P, dtype=np.int64),
+                                   np.full((2, 2, 1), -1, dtype=np.int64)],
+                             ids=["complex", "prime", "negative"])
+    def test_realization_holds_field_elements_only(self, h):
+        with pytest.raises(InvalidParameterError):
+            linear_sim.ChannelRealization(K=2, n=1, coherence=linear_sim.TIME_VARYING, h=h)
+
 
 class TestLinearScheme:
     def test_foreign_precoder_key_rejected(self):
@@ -130,19 +231,30 @@ class TestLinearScheme:
         with pytest.raises(InvalidParameterError):
             linear_sim.LinearScheme(
                 n=2, assignment=a, symbol_counts=(1, 1),
-                precoders={(2, 1): np.zeros((2, 1), dtype=complex)})
+                precoders={(2, 1): np.zeros((2, 1), dtype=np.int64)})
 
     def test_wrong_shape_rejected(self):
         a = schemes.singleton_assignment([1, 2])
         with pytest.raises(InvalidParameterError):
             linear_sim.LinearScheme(
                 n=2, assignment=a, symbol_counts=(1, 1),
-                precoders={(1, 1): np.zeros((2, 2), dtype=complex)})
+                precoders={(1, 1): np.zeros((2, 2), dtype=np.int64)})
 
     def test_symbol_count_beyond_slots_rejected(self):
         a = schemes.singleton_assignment([1, 2])
         with pytest.raises(InvalidParameterError):
             linear_sim.LinearScheme(n=2, assignment=a, symbol_counts=(3, 1), precoders={})
+
+    @pytest.mark.parametrize("mat", [np.ones((2, 1), dtype=complex), np.ones((2, 1)),
+                                     np.full((2, 1), P, dtype=np.int64),
+                                     np.full((2, 1), -1, dtype=np.int64)],
+                             ids=["complex", "float", "prime", "negative"])
+    def test_precoders_hold_field_elements_only(self, mat):
+        a = schemes.singleton_assignment([1, 2])
+        with pytest.raises(InvalidParameterError):
+            linear_sim.LinearScheme(n=2, assignment=a, symbol_counts=(1, 1),
+                                    precoders={(1, 1): np.ones((2, 1), dtype=np.int64),
+                                               (2, 2): mat})
 
     def test_missing_precoder_reads_as_zero(self):
         a = schemes.singleton_assignment([1, 2])
@@ -158,8 +270,8 @@ class TestReceivedMap:
         for i in range(1, t.K + 1):
             desired, interference = linear_sim.received_map(s, c, i)
             want_d, want_z = received_maps_literal(s, c, i)
-            assert np.allclose(desired, want_d)
-            assert np.allclose(interference, want_z)
+            assert np.array_equal(desired, want_d)
+            assert np.array_equal(interference, want_z)
 
     def test_receiver_range_validated(self):
         t = topology.make_locally_connected(2, 1, topology.CYCLIC)
@@ -178,12 +290,12 @@ class TestReceivedMap:
 
 class TestDecodableSymbols:
     @settings(max_examples=30, deadline=None)
-    @given(sim_instances(), st.sampled_from([1e-3, 4.0, -2.5]))
+    @given(sim_instances(), st.sampled_from([2, P - 1, 123456789]))
     def test_scaling_all_precoders_changes_nothing(self, inst, scale):
         t, s, c = inst
         scaled = linear_sim.LinearScheme(
             n=s.n, assignment=s.assignment, symbol_counts=s.symbol_counts,
-            precoders={k: scale * v for k, v in s.precoders.items()})
+            precoders={k: scale * v % P for k, v in s.precoders.items()})
         for i in range(1, t.K + 1):
             assert (linear_sim.decodable_symbols(s, c, i)
                     == linear_sim.decodable_symbols(scaled, c, i))
@@ -198,7 +310,7 @@ class TestDecodableSymbols:
     def test_isolated_direct_links_decode_everything(self):
         t = topology.make_locally_connected(3, 0, topology.CYCLIC)
         a = schemes.singleton_assignment([1, 2, 3])
-        eye = np.eye(2, dtype=complex)
+        eye = np.eye(2, dtype=np.int64)
         s = linear_sim.LinearScheme(
             n=2, assignment=a, symbol_counts=(2, 2, 2),
             precoders={(i, i): eye for i in (1, 2, 3)})
@@ -427,11 +539,26 @@ class TestLemma1Check:
         a = schemes.singleton_assignment([1, 2, 3, 4])
         s = linear_sim.LinearScheme(
             n=2, assignment=a, symbol_counts=(0, 2, 0, 2),
-            precoders={(2, 2): np.eye(2, dtype=complex), (4, 4): np.eye(2, dtype=complex)})
+            precoders={(2, 2): np.eye(2, dtype=np.int64), (4, 4): np.eye(2, dtype=np.int64)})
         c = linear_sim.sample_channel(t, 2, seed=9)
         rep = linear_sim.lemma1_check(s, c, (2, 4))
         assert rep.interfering_transmitters == ()
         assert rep.s == 0 and rep.r == 0 and rep.reconstructable
+
+    def test_unsent_symbols_leave_a_deficiency_that_still_reconstructs(self):
+        # message 2 has a symbol but no precoder: its column is zero in the
+        # processed rows and in the transmit rows alike, so r < s, and the
+        # transmit rows still lie in the processed rows' span
+        t = topology.make_locally_connected(3, 2, topology.CYCLIC)
+        a = schemes.singleton_assignment([1, 2, 3])
+        one = np.ones((1, 1), dtype=np.int64)
+        s = linear_sim.LinearScheme(n=1, assignment=a, symbol_counts=(1, 1, 1),
+                                    precoders={(1, 1): one, (3, 3): one})
+        c = linear_sim.sample_channel(t, 1, seed=2)
+        rep = linear_sim.lemma1_check(s, c, (1,))
+        assert (rep.s, rep.r, rep.interfering_transmitters) == (2, 1, (2, 3))
+        assert rep.reconstructable
+        assert rep == reconstruction_report_literal(s, c, (1,))
 
     @settings(max_examples=40, deadline=None)
     @given(sim_instances(max_k=5))
@@ -455,6 +582,35 @@ class TestRandomScheme:
         assert set(s1.precoders) == set(s2.precoders)
         for k in s1.precoders:
             assert np.array_equal(s1.precoders[k], s2.precoders[k])
+
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_counts_are_drawn_as_the_float_path_drew_them(self, density):
+        t = topology.make_locally_connected(9, 2, topology.CYCLIC)
+        a = linear_sim.full_cooperation_assignment(9)
+        s = linear_sim.random_scheme(t, a, 4, density, seed=17)
+        assert s.symbol_counts == complex_gaussian_scheme(t, a, 4, density, seed=17).symbol_counts
+
+    def test_precoders_are_one_draw_of_field_elements(self):
+        t = topology.make_locally_connected(5, 1, topology.CYCLIC)
+        a = linear_sim.full_cooperation_assignment(5)
+        s = linear_sim.random_scheme(t, a, 3, 0.6, seed=8)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            if rng.random() < 0.6:
+                rng.integers(1, 4)
+        flat = np.concatenate([s.precoders[key].ravel() for key in
+                               sorted(s.precoders, key=lambda key: (key[1], key[0]))])
+        assert np.array_equal(flat, rng.integers(0, P, flat.size))
+        assert set(s.precoders) == {(j, i) for i in range(1, 6) if s.symbol_counts[i - 1]
+                                    for j in range(1, 6)}
+
+    def test_channel_entry_cap_refuses_before_allocating(self):
+        t = topology.make_locally_connected(40000, 1, topology.CYCLIC)
+        single = schemes.singleton_assignment(range(1, 40001))
+        with pytest.raises(ResourceLimitError):
+            linear_sim.random_scheme(t, single, 1, 1.0, seed=1)
+        with pytest.raises(ResourceLimitError):
+            linear_sim.full_cooperation_assignment(40000)
 
     def test_full_density_activates_every_message(self):
         t = topology.make_locally_connected(5, 2, topology.CYCLIC)

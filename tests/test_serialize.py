@@ -18,7 +18,7 @@ EDGE_INTS = [2 ** 63, -(2 ** 64), 10 ** 100]
 
 numbers = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
                     st.integers(), st.sampled_from(EDGE_INTS))
-# nested lists of numbers, such as rows of [re, im] pairs, and the other leaves
+# nested lists of numbers, such as the rows of a precoder matrix, and the other leaves
 number_arrays = st.recursive(numbers, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
 leaves = st.one_of(st.none(), st.booleans(), numbers, st.text(), number_arrays)
 json_like = st.recursive(leaves, lambda inner: st.one_of(
@@ -110,23 +110,77 @@ class TestSchemeArtifacts:
         assert demand_graph.verify_certificate(got, 4)
 
 
+def _scheme():
+    t = topology.make_locally_connected(4, 1, topology.CYCLIC)
+    return linear_sim.random_scheme(t, linear_sim.full_cooperation_assignment(4), 2, 0.8, seed=5)
+
+
+def _realization():
+    t = topology.make_locally_connected(3, 1, topology.TRUNCATED)
+    return linear_sim.sample_channel(t, 2, linear_sim.CONSTANT, seed=8)
+
+
 class TestSimulationArtifacts:
-    def test_scheme_round_trip(self):
-        t = topology.make_locally_connected(4, 1, topology.CYCLIC)
-        s = linear_sim.random_scheme(
-            t, linear_sim.full_cooperation_assignment(4), 2, 0.8, seed=5)
-        got = serialize.scheme_from_dict(serialize.scheme_to_dict(s))
+    def test_scheme_round_trip_is_exact(self):
+        s = _scheme()
+        doc = serialize.scheme_to_dict(s)
+        assert doc["schema"] == "timdof/scheme/v2"
+        assert doc["precoders"]["prime"] == linear_sim.PRIME == 2 ** 31 - 1
+        got = serialize.scheme_from_dict(doc)
         assert got.n == s.n and got.symbol_counts == s.symbol_counts
         assert set(got.precoders) == set(s.precoders)
         for k in s.precoders:
-            assert np.allclose(got.precoders[k], s.precoders[k])
+            assert got.precoders[k].dtype == np.int64
+            assert np.array_equal(got.precoders[k], s.precoders[k])
 
     def test_realization_round_trip_is_exact(self):
-        t = topology.make_locally_connected(3, 1, topology.TRUNCATED)
-        c = linear_sim.sample_channel(t, 2, linear_sim.CONSTANT, seed=8)
-        got = serialize.realization_from_dict(serialize.realization_to_dict(c))
+        c = _realization()
+        doc = serialize.realization_to_dict(c)
+        assert doc["schema"] == "timdof/realization/v2"
+        assert doc["h"]["prime"] == linear_sim.PRIME
+        got = serialize.realization_from_dict(doc)
         assert got.coherence == c.coherence
-        assert np.array_equal(got.h, c.h)
+        assert got.h.dtype == np.int64 and np.array_equal(got.h, c.h)
+
+    @pytest.mark.parametrize("to_dict,from_dict,make", [
+        (serialize.scheme_to_dict, serialize.scheme_from_dict, _scheme),
+        (serialize.realization_to_dict, serialize.realization_from_dict, _realization)],
+        ids=["scheme", "realization"])
+    def test_v1_documents_rejected(self, to_dict, from_dict, make):
+        doc = to_dict(make())
+        doc["schema"] = doc["schema"].replace("/v2", "/v1")
+        with pytest.raises(InvalidInputError, match="expected schema"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["precoders"].update(prime=7),
+        lambda doc: doc["precoders"].pop("prime"),
+        lambda doc: doc.update(precoders=doc["precoders"]["matrices"]),
+        lambda doc: doc["precoders"]["matrices"][0]["matrix"][0].__setitem__(0, 2 ** 31 - 1),
+        lambda doc: doc["precoders"]["matrices"][0]["matrix"][0].__setitem__(0, -1),
+        lambda doc: doc["precoders"]["matrices"][0]["matrix"][0].__setitem__(0, 1.0),
+        lambda doc: doc["precoders"]["matrices"][0]["matrix"][0].__setitem__(0, True),
+        lambda doc: doc["precoders"]["matrices"][0]["matrix"][0].__setitem__(0, [1, 0]),
+        lambda doc: doc["precoders"]["matrices"][0]["matrix"].pop(),
+    ], ids=["other-prime", "no-prime", "bare-list", "prime-entry", "negative", "float", "bool",
+            "pair", "short"])
+    def test_scheme_entries_must_be_field_integers(self, edit):
+        doc = serialize.scheme_to_dict(_scheme())
+        edit(doc)
+        with pytest.raises(InvalidInputError):
+            serialize.scheme_from_dict(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["h"].update(prime=2 ** 61 - 1),
+        lambda doc: doc["h"]["gains"][0][0].__setitem__(0, 2 ** 31),
+        lambda doc: doc["h"]["gains"].pop(),
+        lambda doc: doc["h"]["gains"][2].append([1, 1]),
+    ], ids=["other-prime", "too-large", "short", "long"])
+    def test_realization_entries_must_be_field_integers(self, edit):
+        doc = serialize.realization_to_dict(_realization())
+        edit(doc)
+        with pytest.raises(InvalidInputError):
+            serialize.realization_from_dict(doc)
 
     def test_report_round_trip(self):
         t = topology.make_locally_connected(4, 1, topology.CYCLIC)
@@ -177,10 +231,12 @@ class TestDumps:
         t = topology.make_locally_connected(6, 2, topology.CYCLIC)
         s = linear_sim.random_scheme(t, linear_sim.full_cooperation_assignment(6), 3, 0.7, seed=4)
         doc = serialize.scheme_to_dict(s)
-        matrix = doc["precoders"][0]["matrix"]
-        assert type(matrix) is list and type(matrix[0][0]) is list
-        assert {type(x) for row in matrix for pair in row for x in pair} == {float}
+        matrix = doc["precoders"]["matrices"][0]["matrix"]
+        assert type(matrix) is list and type(matrix[0]) is list
+        assert {type(x) for row in matrix for x in row} == {int}
         assert serialize.dumps(doc) == json_text(doc)
+        realization = serialize.realization_to_dict(linear_sim.sample_channel(t, 3, seed=4))
+        assert serialize.dumps(realization) == json_text(realization)
 
     def test_loads_inverts_dumps(self):
         doc = serialize.topology_to_dict(topology.make_locally_connected(3, 1, topology.CYCLIC))
